@@ -726,12 +726,7 @@ let migrate_guest t g ~dst =
 
 let map_bar vm ~spa ~pages ~perms =
   let base_gpa = Memory.Allocator.reserve_unused_range vm.Hypervisor.Vm.gpa_alloc pages in
-  for i = 0 to pages - 1 do
-    Memory.Ept.map (Hypervisor.Vm.ept vm)
-      ~gpa:(base_gpa + (i * Memory.Addr.page_size))
-      ~spa:(spa + (i * Memory.Addr.page_size))
-      ~perms
-  done;
+  Memory.Ept.map_range (Hypervisor.Vm.ept vm) ~gpa:base_gpa ~spa ~pages ~perms;
   base_gpa
 
 let attach_gpu t ?(vram_mib = 64) () =

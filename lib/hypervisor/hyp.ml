@@ -65,12 +65,8 @@ let create_vm t ~name ~kind ~mem_bytes =
   let pages = mem_bytes / Memory.Addr.page_size in
   let ept = Memory.Ept.create () in
   let base_spn = Memory.Phys_mem.alloc_frames t.phys pages in
-  for i = 0 to pages - 1 do
-    Memory.Ept.map ept
-      ~gpa:(Memory.Addr.of_pfn i)
-      ~spa:(Memory.Addr.of_pfn (base_spn + i))
-      ~perms:Memory.Perm.rwx
-  done;
+  Memory.Ept.map_range ept ~gpa:0 ~spa:(Memory.Addr.of_pfn base_spn) ~pages
+    ~perms:Memory.Perm.rwx;
   let vm =
     {
       Vm.id;
@@ -88,8 +84,6 @@ let create_vm t ~name ~kind ~mem_bytes =
   in
   t.vms <- vm :: t.vms;
   vm
-
-let find_vm t id = List.find_opt (fun vm -> Vm.id vm = id) t.vms
 
 (** Mark a VM dead (crash or explicit kill).  Its pending and future
     memory-operation requests are rejected — crash containment: a dead

@@ -31,11 +31,7 @@ type view = {
 
 let allocate ?(pages = 1) phys =
   if pages < 1 then invalid_arg "Shared_page.allocate: pages < 1";
-  let base_spn =
-    if pages = 1 then Memory.Phys_mem.alloc_frame phys
-    else Memory.Phys_mem.alloc_frames phys pages
-  in
-  { phys; base_spn; pages; mappings = [] }
+  { phys; base_spn = Memory.Phys_mem.alloc_frames phys pages; pages; mappings = [] }
 
 let spn t = t.base_spn
 let pages t = t.pages
@@ -44,16 +40,9 @@ let size t = t.pages * Memory.Addr.page_size
 (** Map the region into [vm] at a fresh contiguous guest-physical
     range; returns its base address. *)
 let map_into t vm ~perms =
-  let gpa =
-    if t.pages = 1 then Memory.Allocator.reserve_unused vm.Vm.gpa_alloc
-    else Memory.Allocator.reserve_unused_range vm.Vm.gpa_alloc t.pages
-  in
-  for i = 0 to t.pages - 1 do
-    Memory.Ept.map vm.Vm.ept
-      ~gpa:(gpa + (i * Memory.Addr.page_size))
-      ~spa:(Memory.Addr.of_pfn (t.base_spn + i))
-      ~perms
-  done;
+  let gpa = Memory.Allocator.reserve_unused_range vm.Vm.gpa_alloc t.pages in
+  Memory.Ept.map_range vm.Vm.ept ~gpa ~spa:(Memory.Addr.of_pfn t.base_spn) ~pages:t.pages
+    ~perms;
   t.mappings <- (vm.Vm.id, gpa) :: t.mappings;
   gpa
 

@@ -12,8 +12,10 @@ type t = {
   base_pfn : int;
   limit_pfn : int; (* exclusive *)
   mutable next_pfn : int;
-  mutable free : int list; (* freed pfns, reusable *)
+  mutable free : int list; (* pages freed by [free_page], for [alloc_page] *)
+  runs : (int, int list) Hashtbl.t; (* run length -> freed run bases, LIFO *)
   reserved : (int, unit) Hashtbl.t; (* taken out-of-band (hypervisor) *)
+  mutable top_free : int; (* every pfn above this one is reserved *)
 }
 
 let create ~base ~size =
@@ -24,7 +26,9 @@ let create ~base ~size =
     limit_pfn = Addr.pfn (base + size);
     next_pfn = Addr.pfn base;
     free = [];
+    runs = Hashtbl.create 8;
     reserved = Hashtbl.create 16;
+    top_free = Addr.pfn (base + size) - 1;
   }
 
 let total_pages t = t.limit_pfn - t.base_pfn
@@ -45,64 +49,94 @@ let rec alloc_page t =
       in
       bump ()
 
-(** Allocate [n] contiguous pages (always from the bump region, the
-    free list is not coalesced). *)
+(** Allocate [n] contiguous pages: the run of the same length freed
+    most recently by {!free_range}, else fresh pages from the bump
+    region (runs are neither split nor coalesced). *)
 let alloc_range t n =
   if n <= 0 then invalid_arg "Allocator.alloc_range";
-  (* Skip over any reserved pages so the range is truly free. *)
-  let rec find start =
-    if start + n > t.limit_pfn then raise Out_of_memory;
-    let rec clear i = i >= n || ((not (Hashtbl.mem t.reserved (start + i))) && clear (i + 1)) in
-    if clear 0 then start else find (start + 1)
-  in
-  let start = find t.next_pfn in
-  t.next_pfn <- start + n;
-  Addr.of_pfn start
+  match Hashtbl.find_opt t.runs n with
+  | Some (pfn :: rest) ->
+      Hashtbl.replace t.runs n rest;
+      Addr.of_pfn pfn
+  | Some [] | None ->
+      (* Skip over any reserved pages so the range is truly free. *)
+      let rec find start =
+        if start + n > t.limit_pfn then raise Out_of_memory;
+        let rec clear i = i >= n || ((not (Hashtbl.mem t.reserved (start + i))) && clear (i + 1)) in
+        if clear 0 then start else find (start + 1)
+      in
+      let start = find t.next_pfn in
+      t.next_pfn <- start + n;
+      Addr.of_pfn start
+
+let check_owned t pfn ~what =
+  if pfn < t.base_pfn || pfn >= t.limit_pfn then
+    invalid_arg ("Allocator." ^ what ^ ": outside region")
 
 let free_page t addr =
   let pfn = Addr.pfn addr in
-  if pfn < t.base_pfn || pfn >= t.limit_pfn then
-    invalid_arg "Allocator.free_page: outside region";
+  check_owned t pfn ~what:"free_page";
   t.free <- pfn :: t.free
+
+(** Return a run of [n] pages obtained from {!alloc_range}; the next
+    [alloc_range] of the same length reuses it. *)
+let free_range t addr n =
+  if n <= 0 then invalid_arg "Allocator.free_range";
+  let pfn = Addr.pfn addr in
+  check_owned t pfn ~what:"free_range";
+  check_owned t (pfn + n - 1) ~what:"free_range";
+  let runs = Option.value ~default:[] (Hashtbl.find_opt t.runs n) in
+  Hashtbl.replace t.runs n (pfn :: runs)
+
+(* Lower the watermark past reserved pages: afterwards [top_free] is
+   the highest unreserved page (or below the region). *)
+let settle t =
+  while t.top_free >= t.base_pfn && Hashtbl.mem t.reserved t.top_free do
+    t.top_free <- t.top_free - 1
+  done
 
 (** Claim a page address the normal allocator has not handed out and
     will never hand out while reserved.  The hypervisor uses this to
-    back guest mmaps with unused guest-physical addresses. *)
+    back guest mmaps with unused guest-physical addresses.  Pages are
+    taken from the top of the region, far from the bump pointer, so
+    reservation and ordinary allocation interleave gracefully; the
+    watermark names the highest unreserved page, so no earlier
+    reservation is rescanned. *)
 let reserve_unused t =
-  if t.next_pfn >= t.limit_pfn then raise Out_of_memory;
-  (* Take from the top of the region, far from the bump pointer, so
-     reservation and ordinary allocation interleave gracefully. *)
-  let rec from_top pfn =
-    if pfn < t.next_pfn then raise Out_of_memory
-    else if Hashtbl.mem t.reserved pfn then from_top (pfn - 1)
-    else pfn
-  in
-  let pfn = from_top (t.limit_pfn - 1) in
+  let pfn = t.top_free in
+  if pfn < t.next_pfn then raise Out_of_memory;
   Hashtbl.replace t.reserved pfn ();
+  settle t;
   Addr.of_pfn pfn
 
-(** Contiguous variant of {!reserve_unused}: claims [n] consecutive
-    unused pages (device BAR apertures need contiguous guest-physical
-    ranges). *)
+(** Contiguous variant of {!reserve_unused}: claims the highest [n]
+    consecutive unused pages (device BAR apertures need contiguous
+    guest-physical ranges). *)
 let reserve_unused_range t n =
   if n <= 0 then invalid_arg "Allocator.reserve_unused_range";
-  let fits start =
-    start >= t.next_pfn
-    &&
-    let rec clear i = i >= n || ((not (Hashtbl.mem t.reserved (start + i))) && clear (i + 1)) in
-    clear 0
-  in
+  (* [start] is the highest candidate; a reserved page inside it rules
+     out every start up to that page, so jump straight below it. *)
   let rec from_top start =
-    if start < t.next_pfn then raise Out_of_memory
-    else if fits start then start
-    else from_top (start - 1)
+    if start < t.next_pfn then raise Out_of_memory;
+    let rec reserved_in i =
+      if i < 0 then None
+      else if Hashtbl.mem t.reserved (start + i) then Some (start + i)
+      else reserved_in (i - 1)
+    in
+    match reserved_in (n - 1) with None -> start | Some pfn -> from_top (pfn - n)
   in
-  let start = from_top (t.limit_pfn - n) in
+  let start = from_top (min (t.limit_pfn - n) (t.top_free - n + 1)) in
   for i = 0 to n - 1 do
     Hashtbl.replace t.reserved (start + i) ()
   done;
+  settle t;
   Addr.of_pfn start
 
-let unreserve t addr = Hashtbl.remove t.reserved (Addr.pfn addr)
+let unreserve t addr =
+  let pfn = Addr.pfn addr in
+  if Hashtbl.mem t.reserved pfn then begin
+    Hashtbl.remove t.reserved pfn;
+    if pfn > t.top_free then t.top_free <- pfn
+  end
 
 let is_reserved t addr = Hashtbl.mem t.reserved (Addr.pfn addr)

@@ -17,6 +17,13 @@ let map t ~gpa ~spa ~perms =
     invalid_arg "Ept.map: unaligned";
   Radix_table.map t.table ~vfn:(Addr.pfn gpa) ~pfn:(Addr.pfn spa) ~perms
 
+(** Contiguous mapping for VM RAM, BARs and shared rings: one 2 MiB
+    leaf per aligned span the range covers whole. *)
+let map_range t ~gpa ~spa ~pages ~perms =
+  if not (Addr.is_page_aligned gpa && Addr.is_page_aligned spa) then
+    invalid_arg "Ept.map_range: unaligned";
+  Radix_table.map_range t.table ~vfn:(Addr.pfn gpa) ~pfn:(Addr.pfn spa) ~count:pages ~perms
+
 let unmap t ~gpa = Radix_table.unmap t.table (Addr.pfn gpa)
 
 let translate_leaf t ~gpa ~access =
@@ -48,10 +55,9 @@ let lookup t ~gpa =
 let set_perms t ~gpa ~perms =
   Radix_table.set_perms t.table ~vfn:(Addr.pfn gpa) ~perms
 
-let mapped_count t = Radix_table.mapped_count t.table
-
 (** Mutation counter for software-TLB invalidation (see
-    {!Radix_table.generation}); map/unmap/set_perms all bump it. *)
+    {!Radix_table.generation}); map/map_range/unmap/set_perms all bump
+    it. *)
 let generation t = Radix_table.generation t.table
 
 (** Reverse lookup: all guest-physical pages mapping to [spn].  Linear

@@ -6,6 +6,13 @@ type t
 
 val create : unit -> t
 val map : t -> gpa:int -> spa:int -> perms:Perm.t -> unit
+
+(** Map [pages] contiguous pages from [gpa] onto contiguous frames from
+    [spa], with a 2 MiB leaf for every aligned span the range wholly
+    covers ({!Radix_table.map_range}); [spa] need not be 2 MiB
+    aligned. *)
+val map_range : t -> gpa:int -> spa:int -> pages:int -> perms:Perm.t -> unit
+
 val unmap : t -> gpa:int -> bool
 
 (** Hardware walk; raises {!Fault.Ept_violation}. *)
@@ -27,8 +34,6 @@ val lookup : t -> gpa:int -> (int * Perm.t) option
 
 (** Permission surgery on an existing mapping; [Not_found] if absent. *)
 val set_perms : t -> gpa:int -> perms:Perm.t -> unit
-
-val mapped_count : t -> int
 
 (** Reverse lookup (linear); isolation setup only. *)
 val gpas_of_spn : t -> int -> int list

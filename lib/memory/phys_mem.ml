@@ -1,8 +1,11 @@
 (** System physical memory.
 
-    Frames are allocated lazily: the store is a map from system frame
-    number (spn) to backing.  Two kinds of backing exist:
-    - [Ram]: an ordinary 4 KiB byte frame;
+    Frames are range-backed: allocation only advances a frame-number
+    watermark, so every spn in [\[1, next_spn)] is allocated RAM and
+    configuring a VM costs nothing per page.  The store maps spn to
+    backing only for frames that have been touched or installed:
+    - [Ram]: an ordinary 4 KiB byte frame, materialised zero-filled on
+      first access;
     - [Mmio]: a device register page whose reads/writes are routed to
       handler callbacks (the GPU register file, the NIC doorbells).
 
@@ -16,58 +19,46 @@ type mmio_handler = {
   mmio_write : offset:int -> bytes -> unit;
 }
 
-type backing =
-  | Ram of Bytes.t
-  | Unbacked (* allocated RAM, zero-filled, materialised on first use *)
-  | Mmio of mmio_handler
+type backing = Ram of Bytes.t | Mmio of mmio_handler
 
 type t = {
-  frames : (int, backing) Hashtbl.t;
-  mutable next_spn : int;
+  frames : (int, backing) Hashtbl.t; (* touched RAM frames and MMIO pages *)
+  mutable next_spn : int; (* every spn in [1, next_spn) is allocated *)
 }
 
 let create () = { frames = Hashtbl.create 4096; next_spn = 1 }
 (* spn 0 is never handed out: a zero address is always a bug. *)
 
-let mem_frame t spn = Hashtbl.mem t.frames spn
-
 (** Allocate [n] fresh contiguous RAM frames; returns the base spn.
-    Backing bytes are materialised lazily so multi-gigabyte VM RAM
-    costs nothing until touched. *)
+    Backing bytes are materialised on first touch, so multi-gigabyte
+    VM RAM costs nothing until used. *)
 let alloc_frames t n =
   if n <= 0 then invalid_arg "Phys_mem.alloc_frames";
   let base = t.next_spn in
   t.next_spn <- t.next_spn + n;
-  for i = 0 to n - 1 do
-    Hashtbl.replace t.frames (base + i) Unbacked
-  done;
   base
 
 let alloc_frame t = alloc_frames t 1
 
 (** Install an MMIO page; returns its spn. *)
 let alloc_mmio t handler =
-  let spn = t.next_spn in
-  t.next_spn <- t.next_spn + 1;
+  let spn = alloc_frame t in
   Hashtbl.replace t.frames spn (Mmio handler);
   spn
-
-let free_frame t spn = Hashtbl.remove t.frames spn
 
 let is_mmio t spn =
   match Hashtbl.find_opt t.frames spn with
   | Some (Mmio _) -> true
-  | Some (Ram _ | Unbacked) | None -> false
+  | Some (Ram _) | None -> false
 
 let backing t ~spn ~access =
   match Hashtbl.find_opt t.frames spn with
-  | Some Unbacked ->
+  | Some b -> b
+  | None when spn >= 1 && spn < t.next_spn ->
       let b = Ram (Bytes.make Addr.page_size '\000') in
       Hashtbl.replace t.frames spn b;
       b
-  | Some b -> b
-  | None ->
-      Fault.bus_error ~addr:(Addr.of_pfn spn) ~access "unpopulated frame"
+  | None -> Fault.bus_error ~addr:(Addr.of_pfn spn) ~access "unpopulated frame"
 
 (** Zero-copy read: blit [len] bytes at system physical address [spa]
     into [dst] at [dst_off].  May cross frame boundaries; no
@@ -81,7 +72,6 @@ let read_into t ~spa ~dst ~dst_off ~len =
       let spn = Addr.pfn addr and off = Addr.offset addr in
       (match backing t ~spn ~access:Perm.Read with
       | Ram frame -> Bytes.blit frame off dst !pos chunk
-      | Unbacked -> assert false (* materialised by [backing] *)
       | Mmio h -> Bytes.blit (h.mmio_read ~offset:off ~len:chunk) 0 dst !pos chunk);
       pos := !pos + chunk)
 
@@ -96,7 +86,6 @@ let write_from t ~spa ~src ~src_off ~len =
       let spn = Addr.pfn addr and off = Addr.offset addr in
       (match backing t ~spn ~access:Perm.Write with
       | Ram frame -> Bytes.blit src !pos frame off chunk
-      | Unbacked -> assert false (* materialised by [backing] *)
       | Mmio h -> h.mmio_write ~offset:off (Bytes.sub src !pos chunk));
       pos := !pos + chunk)
 
@@ -121,7 +110,6 @@ let[@inline] direct_frame t ~spa ~access ~width =
   if Addr.offset spa + width <= Addr.page_size then
     match backing t ~spn:(Addr.pfn spa) ~access with
     | Ram frame -> Some frame
-    | Unbacked -> assert false (* materialised by [backing] *)
     | Mmio _ -> None
   else None
 
@@ -166,7 +154,7 @@ let write_u64 t ~spa v =
 let zero_frame t spn =
   match backing t ~spn ~access:Perm.Write with
   | Ram frame -> Bytes.fill frame 0 Addr.page_size '\000'
-  | Unbacked -> assert false (* materialised by [backing] *)
   | Mmio _ -> invalid_arg "Phys_mem.zero_frame: MMIO page"
 
-let frame_count t = Hashtbl.length t.frames
+(** Frames allocated so far, RAM and MMIO, touched or not. *)
+let frame_count t = t.next_spn - 1

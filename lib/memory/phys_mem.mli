@@ -1,5 +1,6 @@
-(** System physical memory: lazily-backed 4 KiB RAM frames plus MMIO
-    pages routed to device register handlers. *)
+(** System physical memory: range-backed 4 KiB RAM frames, stored
+    only once touched, plus MMIO pages routed to device register
+    handlers. *)
 
 type mmio_handler = {
   mmio_read : offset:int -> len:int -> bytes;
@@ -9,10 +10,9 @@ type mmio_handler = {
 type t
 
 val create : unit -> t
-val mem_frame : t -> int -> bool
 
 (** Allocate [n] fresh contiguous RAM frames; returns the base spn.
-    Backing bytes materialise on first access. *)
+    Constant time: each frame reads as zeros until first touched. *)
 val alloc_frames : t -> int -> int
 
 val alloc_frame : t -> int
@@ -20,11 +20,10 @@ val alloc_frame : t -> int
 (** Install a device register page; returns its spn. *)
 val alloc_mmio : t -> mmio_handler -> int
 
-val free_frame : t -> int -> unit
 val is_mmio : t -> int -> bool
 
 (** Byte access at system physical addresses; may cross frames.
-    Raises {!Fault.Bus_error} on unpopulated frames. *)
+    Raises {!Fault.Bus_error} on frames never allocated. *)
 val read : t -> spa:int -> len:int -> bytes
 
 val write : t -> spa:int -> bytes -> unit
@@ -45,4 +44,5 @@ val write_u64 : t -> spa:int -> int64 -> unit
 (** Scrub a frame to zero (protected-region recycling, §5.3). *)
 val zero_frame : t -> int -> unit
 
+(** Frames allocated so far (RAM and MMIO, touched or not). *)
 val frame_count : t -> int

@@ -8,16 +8,28 @@
     stripping of §4.2 all operate on this structure, so it models
     individual levels explicitly rather than being a flat map.
 
-    Walks are allocation-free: per-level shifts and masks are
-    precomputed at {!create} and every traversal is an iterative
-    descent indexed by level number — this is the hottest loop in the
-    repo (every data-plane byte crosses at least one walk).
+    Walks are iterative descents over per-level shifts and masks
+    precomputed at {!create} — this is the hottest loop in the repo
+    (every data-plane byte crosses at least one walk).  A walk through
+    small leaves allocates nothing; a walk ending in a large leaf
+    builds the one 4 KiB leaf it reports.
+
+    {e Large leaves.}  A leaf may also sit one level above the last
+    (level [levels-2]), covering a whole last-level table's worth of
+    frames — 2 MiB with 9-bit levels over 4 KiB pages, as on x86-64.
+    It maps frame [k] of its span to [target_pfn + k].  Only
+    {!map_range} installs one.  Any finer-grained mutation that lands
+    inside it ({!map}, {!unmap}, {!set_perms}, {!ensure_intermediate})
+    first {e splits} it into a last-level table of small leaves with
+    the same targets and permissions.
 
     A {e generation counter} is bumped on every mutation that can
-    change the outcome of a translation ([map], [unmap], [set_perms]).
-    Software TLBs ({!Tlb}) record the generation at fill time and
-    treat any mismatch as a miss, so a cached translation can never
-    outlive a revoked or modified mapping. *)
+    change the outcome of a translation ([map], [map_range], [unmap],
+    [set_perms]).  Software TLBs ({!Tlb}) record the generation at fill
+    time and treat any mismatch as a miss, so a cached translation can
+    never outlive a revoked or modified mapping.  A split changes no
+    translation, so it does not bump the generation; the mutation that
+    follows it does. *)
 
 type node = { entries : entry array }
 and entry = Empty | Table of node | Leaf of leaf
@@ -29,9 +41,9 @@ type t = {
   masks : int array; (* (1 lsl width) - 1 per level *)
   total_bits : int;
   root : node;
-  mutable mapped : int;
+  mutable mapped : int; (* mapped frames; a large leaf counts its span *)
   mutable nodes : int;
-  mutable generation : int; (* bumped on map/unmap/set_perms *)
+  mutable generation : int; (* bumped on map/map_range/unmap/set_perms *)
 }
 
 let make_node width = { entries = Array.make (1 lsl width) Empty }
@@ -95,6 +107,8 @@ let walk t vfn =
       match node.entries.(idx) with
       | Table next -> go next (i + 1)
       | Empty -> Missing_level i
+      | Leaf leaf when i = last - 1 ->
+          Mapped { leaf with target_pfn = leaf.target_pfn + index t vfn last }
       | Leaf _ -> invalid_arg "Radix_table.walk: leaf at interior level"
   in
   go t.root 0
@@ -102,14 +116,22 @@ let walk t vfn =
 let lookup t vfn =
   match walk t vfn with Mapped leaf -> Some leaf | Missing_level _ | Not_present -> None
 
-(** Create intermediate tables down to (but not including) the leaf
-    level — the CVD frontend does exactly this for mmap ranges before
-    forwarding, leaving the last level for the hypervisor (§5.2). *)
-let ensure_intermediate t vfn =
-  check_range t vfn;
-  let last = levels t - 1 in
+(* Replace the large leaf at [node.entries.(idx)] by a last-level table
+   of small leaves with the same targets and permissions. *)
+let split t node idx { target_pfn; perms } =
+  let width = t.widths.(levels t - 1) in
+  let small =
+    { entries = Array.init (1 lsl width) (fun k -> Leaf { target_pfn = target_pfn + k; perms }) }
+  in
+  node.entries.(idx) <- Table small;
+  t.nodes <- t.nodes + 1;
+  small
+
+(* Descend to the node at level [depth] on [vfn]'s path, creating
+   missing tables on the way. *)
+let descend t vfn ~depth =
   let node = ref t.root in
-  for i = 0 to last - 1 do
+  for i = 0 to depth - 1 do
     let idx = index t vfn i in
     match !node.entries.(idx) with
     | Table next -> node := next
@@ -118,8 +140,21 @@ let ensure_intermediate t vfn =
         !node.entries.(idx) <- Table n;
         t.nodes <- t.nodes + 1;
         node := n
-    | Leaf _ -> invalid_arg "Radix_table.ensure_intermediate: leaf at interior level"
-  done
+    | Leaf leaf when i = levels t - 2 -> node := split t !node idx leaf
+    | Leaf _ -> invalid_arg "Radix_table: leaf at interior level"
+  done;
+  !node
+
+(* The last-level table holding [vfn]'s entry, splitting a large leaf
+   in the way. *)
+let leaf_table t vfn =
+  check_range t vfn;
+  descend t vfn ~depth:(levels t - 1)
+
+(** Create intermediate tables down to (but not including) the leaf
+    level — the CVD frontend does exactly this for mmap ranges before
+    forwarding, leaving the last level for the hypervisor (§5.2). *)
+let ensure_intermediate t vfn = ignore (leaf_table t vfn : node)
 
 (** True iff every intermediate level for [vfn] already exists. *)
 let intermediate_present t vfn =
@@ -128,43 +163,57 @@ let intermediate_present t vfn =
   | Missing_level _ -> false
 
 let map t ~vfn ~pfn ~perms =
-  ensure_intermediate t vfn;
-  let last = levels t - 1 in
-  let node = ref t.root in
-  for i = 0 to last - 1 do
-    match !node.entries.(index t vfn i) with
-    | Table next -> node := next
-    | Empty | Leaf _ -> assert false (* ensure_intermediate ran *)
-  done;
-  let idx = index t vfn last in
-  (match !node.entries.(idx) with
+  let node = leaf_table t vfn in
+  let idx = index t vfn (levels t - 1) in
+  (match node.entries.(idx) with
   | Empty -> t.mapped <- t.mapped + 1
   | Leaf _ -> ()
   | Table _ -> invalid_arg "Radix_table.map: table at leaf level");
-  !node.entries.(idx) <- Leaf { target_pfn = pfn; perms };
+  node.entries.(idx) <- Leaf { target_pfn = pfn; perms };
   t.generation <- t.generation + 1
 
-let unmap t vfn =
-  check_range t vfn;
+(* One large leaf over the aligned span starting at [vfn], replacing
+   whatever the span held. *)
+let map_large t ~vfn ~pfn ~perms =
   let last = levels t - 1 in
-  let rec go node i =
-    let idx = index t vfn i in
-    if i = last then
-      match node.entries.(idx) with
-      | Leaf _ ->
-          node.entries.(idx) <- Empty;
-          t.mapped <- t.mapped - 1;
-          t.generation <- t.generation + 1;
-          true
-      | Empty -> false
-      | Table _ -> invalid_arg "Radix_table.unmap: table at leaf level"
-    else
-      match node.entries.(idx) with
-      | Table next -> go next (i + 1)
-      | Empty -> false
-      | Leaf _ -> assert false
+  let node = descend t vfn ~depth:(last - 1) in
+  let idx = index t vfn (last - 1) in
+  (match node.entries.(idx) with
+  | Empty -> t.mapped <- t.mapped + (1 lsl t.widths.(last))
+  | Leaf _ -> ()
+  | Table small ->
+      Array.iter (function Empty -> t.mapped <- t.mapped + 1 | _ -> ()) small.entries;
+      t.nodes <- t.nodes - 1);
+  node.entries.(idx) <- Leaf { target_pfn = pfn; perms };
+  t.generation <- t.generation + 1
+
+(** Map [count] consecutive frames, [vfn + k] to [pfn + k].  Each span
+    that is aligned and wholly covered becomes one large leaf; the
+    remainder gets small leaves.  [pfn] need not be aligned. *)
+let map_range t ~vfn ~pfn ~count ~perms =
+  if count < 0 then invalid_arg "Radix_table.map_range: negative count";
+  if count > 0 then (check_range t vfn; check_range t (vfn + count - 1));
+  let span = if levels t < 2 then max_int else 1 lsl t.widths.(levels t - 1) in
+  let rec go vfn pfn count =
+    if count >= span && vfn land (span - 1) = 0 then begin
+      map_large t ~vfn ~pfn ~perms;
+      go (vfn + span) (pfn + span) (count - span)
+    end
+    else if count > 0 then begin
+      map t ~vfn ~pfn ~perms;
+      go (vfn + 1) (pfn + 1) (count - 1)
+    end
   in
-  go t.root 0
+  go vfn pfn count
+
+let unmap t vfn =
+  match walk t vfn with
+  | Missing_level _ | Not_present -> false
+  | Mapped _ ->
+      (leaf_table t vfn).entries.(index t vfn (levels t - 1)) <- Empty;
+      t.mapped <- t.mapped - 1;
+      t.generation <- t.generation + 1;
+      true
 
 (** Replace the permissions of an existing mapping.  Raises
     [Not_found] when [vfn] is unmapped: permission surgery on absent
@@ -175,7 +224,9 @@ let set_perms t ~vfn ~perms =
   | Missing_level _ | Not_present -> raise Not_found
 
 let iter t f =
-  (* Depth-first, reconstructing each vfn from the index path. *)
+  (* Depth-first, reconstructing each vfn from the index path; a large
+     leaf is reported page by page. *)
+  let last = levels t - 1 in
   let rec go node depth acc =
     Array.iteri
       (fun idx entry ->
@@ -183,7 +234,12 @@ let iter t f =
         match entry with
         | Empty -> ()
         | Table next -> go next (depth + 1) acc
-        | Leaf leaf -> f acc leaf)
+        | Leaf leaf when depth = last -> f acc leaf
+        | Leaf { target_pfn; perms } ->
+            let width = t.widths.(last) in
+            for k = 0 to (1 lsl width) - 1 do
+              f ((acc lsl width) lor k) { target_pfn = target_pfn + k; perms }
+            done)
       node.entries
   in
   go t.root 0 0

@@ -53,7 +53,7 @@ let free_buf task ~gva ~len =
     | None -> ());
     ignore (Memory.Guest_pt.unmap task.pt ~gva:page_gva)
   done;
-  Memory.Allocator.free_page task.va_alloc gva
+  Memory.Allocator.free_range task.va_alloc gva pages
 
 (** Raw user-memory access, no demand paging (see {!Vfs.user_read} for
     the fault-handling variant applications use on mmap'd ranges). *)

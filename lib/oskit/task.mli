@@ -16,6 +16,9 @@ val create : pid:int -> pt_id:int -> name:string -> vm:Hypervisor.Vm.t -> task
     returns the user virtual address. *)
 val alloc_buf : task -> int -> int
 
+(** Release a buffer from {!alloc_buf}: its backing pages return to
+    the VM and its whole VA range to the next [alloc_buf] of the same
+    page count. *)
 val free_buf : task -> gva:int -> len:int -> unit
 
 (** Raw user-memory access (no demand paging — see [Vfs.user_read]). *)

@@ -33,12 +33,7 @@ let make_machine ?(mem_mib = 64) ?(costs = Kernel.zero_costs) () =
 let map_bar vm ~spa ~pages ~perms =
   let gpa_alloc = vm.Hypervisor.Vm.gpa_alloc in
   let base_gpa = Memory.Allocator.reserve_unused_range gpa_alloc pages in
-  for i = 0 to pages - 1 do
-    Memory.Ept.map (Hypervisor.Vm.ept vm)
-      ~gpa:(base_gpa + (i * Memory.Addr.page_size))
-      ~spa:(spa + (i * Memory.Addr.page_size))
-      ~perms
-  done;
+  Memory.Ept.map_range (Hypervisor.Vm.ept vm) ~gpa:base_gpa ~spa ~pages ~perms;
   base_gpa
 
 (** A machine with a GPU and the radeon driver registered, everything

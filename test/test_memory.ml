@@ -368,6 +368,236 @@ let prop_radix_unmap =
              vfn = victim || Radix_table.lookup t vfn <> None)
            vfns)
 
+(* Random page-table surgery on a small table ([2; 3; 3]: 256 frames,
+   8-frame large leaves) so every frame can be checked against a
+   per-page model after each sequence. *)
+type radix_op =
+  | Op_map_range of int * int * int (* vfn, pfn, count *)
+  | Op_map of int * int
+  | Op_unmap of int
+  | Op_set_perms of int * bool (* vfn, writable *)
+
+let radix_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          map3
+            (fun v p c -> Op_map_range (v, p, c))
+            (int_bound 255) (int_bound 10_000) (int_bound 40) );
+        (2, map2 (fun v p -> Op_map (v, p)) (int_bound 255) (int_bound 10_000));
+        (2, map (fun v -> Op_unmap v) (int_bound 255));
+        (2, map2 (fun v w -> Op_set_perms (v, w)) (int_bound 255) bool);
+      ])
+
+let show_radix_op = function
+  | Op_map_range (v, p, c) -> Printf.sprintf "map_range %d->%d x%d" v p c
+  | Op_map (v, p) -> Printf.sprintf "map %d->%d" v p
+  | Op_unmap v -> Printf.sprintf "unmap %d" v
+  | Op_set_perms (v, w) -> Printf.sprintf "set_perms %d %b" v w
+
+let prop_radix_large_leaves_match_model =
+  QCheck.Test.make ~name:"radix table with large leaves matches a per-page model"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_radix_op ops))
+       QCheck.Gen.(list_size (1 -- 30) radix_op_gen))
+    (fun ops ->
+      let t = Radix_table.create ~widths:[ 2; 3; 3 ] in
+      let frames = 256 in
+      let model = Hashtbl.create 64 in
+      let apply = function
+        | Op_map_range (vfn, pfn, count) ->
+            let count = min count (frames - vfn) in
+            Radix_table.map_range t ~vfn ~pfn ~count ~perms:Perm.rwx;
+            for k = 0 to count - 1 do
+              Hashtbl.replace model (vfn + k) (pfn + k, Perm.rwx)
+            done
+        | Op_map (vfn, pfn) ->
+            Radix_table.map t ~vfn ~pfn ~perms:Perm.rw;
+            Hashtbl.replace model vfn (pfn, Perm.rw)
+        | Op_unmap vfn ->
+            let removed = Radix_table.unmap t vfn in
+            if removed <> Hashtbl.mem model vfn then failwith "unmap result";
+            Hashtbl.remove model vfn
+        | Op_set_perms (vfn, writable) -> (
+            let perms = if writable then Perm.rw else Perm.none in
+            match (Radix_table.set_perms t ~vfn ~perms, Hashtbl.find_opt model vfn) with
+            | (), Some (pfn, _) -> Hashtbl.replace model vfn (pfn, perms)
+            | (), None -> failwith "set_perms on an unmapped frame succeeded"
+            | exception Not_found ->
+                if Hashtbl.mem model vfn then failwith "set_perms lost a mapping")
+      in
+      List.iter apply ops;
+      let lookups_agree =
+        List.for_all
+          (fun vfn ->
+            match (Radix_table.lookup t vfn, Hashtbl.find_opt model vfn) with
+            | None, None -> true
+            | Some leaf, Some (pfn, perms) ->
+                leaf.Radix_table.target_pfn = pfn && Perm.equal leaf.Radix_table.perms perms
+            | Some _, None | None, Some _ -> false)
+          (List.init frames Fun.id)
+      in
+      let iterated = ref [] in
+      Radix_table.iter t (fun vfn leaf ->
+          iterated := (vfn, leaf.Radix_table.target_pfn, leaf.Radix_table.perms) :: !iterated);
+      let expected =
+        Hashtbl.fold (fun vfn (pfn, perms) acc -> (vfn, pfn, perms) :: acc) model []
+        |> List.sort compare
+      in
+      lookups_agree
+      && Radix_table.mapped_count t = Hashtbl.length model
+      && List.rev !iterated = expected)
+
+let test_radix_large_leaf_split () =
+  let t = Radix_table.create ~widths:[ 9; 9; 9; 9 ] in
+  (* 1024 frames from an unaligned target: two large leaves *)
+  Radix_table.map_range t ~vfn:512 ~pfn:7 ~count:1024 ~perms:Perm.rwx;
+  Alcotest.(check int) "no last-level tables" 3 (Radix_table.node_count t);
+  Alcotest.(check int) "pages counted" 1024 (Radix_table.mapped_count t);
+  Alcotest.(check (option int)) "offset inside the span" (Some (7 + 700))
+    (Option.map (fun l -> l.Radix_table.target_pfn) (Radix_table.lookup t (512 + 700)));
+  let g = Radix_table.generation t in
+  Radix_table.ensure_intermediate t 600;
+  Alcotest.(check int) "ensure_intermediate splits" 4 (Radix_table.node_count t);
+  Alcotest.(check int) "split does not bump the generation" g (Radix_table.generation t);
+  Radix_table.set_perms t ~vfn:600 ~perms:Perm.r;
+  Alcotest.(check int) "one mutation, one bump" (g + 1) (Radix_table.generation t);
+  Alcotest.(check (option int)) "split neighbour keeps its target" (Some (7 + 89))
+    (Option.map (fun l -> l.Radix_table.target_pfn) (Radix_table.lookup t 601));
+  Alcotest.(check int) "split keeps the page count" 1024 (Radix_table.mapped_count t);
+  Radix_table.map_range t ~vfn:512 ~pfn:0 ~count:512 ~perms:Perm.r;
+  Alcotest.(check int) "remapping the span frees its table" 3 (Radix_table.node_count t);
+  Alcotest.(check int) "and keeps the page count" 1024 (Radix_table.mapped_count t)
+
+let test_phys_mem_range_backed () =
+  let mem = Phys_mem.create () in
+  let base = Phys_mem.alloc_frames mem 1_000_000 in
+  Alcotest.(check int) "allocated, not stored" 1_000_000 (Phys_mem.frame_count mem);
+  let last = Addr.of_pfn (base + 999_999) in
+  Alcotest.(check int) "untouched frame reads zero" 0 (Phys_mem.read_u32 mem ~spa:last);
+  Phys_mem.write_u32 mem ~spa:last 0xabcd;
+  Alcotest.(check int) "then holds data" 0xabcd (Phys_mem.read_u32 mem ~spa:last);
+  Alcotest.(check bool) "past the watermark is a bus error" true
+    (match Phys_mem.read_u8 mem ~spa:(Addr.of_pfn (base + 1_000_000)) with
+    | _ -> false
+    | exception Fault.Bus_error _ -> true)
+
+(* The linear top-down scan the allocator used before it kept a
+   watermark: the reference its reservations must match. *)
+module Linear_reserve = struct
+  type t = { base : int; limit : int; mutable next : int; reserved : (int, unit) Hashtbl.t }
+
+  let create ~pages = { base = 0; limit = pages; next = 0; reserved = Hashtbl.create 16 }
+
+  let alloc_range t n =
+    let rec find start =
+      if start + n > t.limit then raise Out_of_memory;
+      let rec clear i = i >= n || ((not (Hashtbl.mem t.reserved (start + i))) && clear (i + 1)) in
+      if clear 0 then start else find (start + 1)
+    in
+    let start = find t.next in
+    t.next <- start + n;
+    start
+
+  let reserve_unused t =
+    if t.next >= t.limit then raise Out_of_memory;
+    let rec from_top pfn =
+      if pfn < t.next then raise Out_of_memory
+      else if Hashtbl.mem t.reserved pfn then from_top (pfn - 1)
+      else pfn
+    in
+    let pfn = from_top (t.limit - 1) in
+    Hashtbl.replace t.reserved pfn ();
+    pfn
+
+  let reserve_unused_range t n =
+    let fits start =
+      start >= t.next
+      &&
+      let rec clear i = i >= n || ((not (Hashtbl.mem t.reserved (start + i))) && clear (i + 1)) in
+      clear 0
+    in
+    let rec from_top start =
+      if start < t.next then raise Out_of_memory
+      else if fits start then start
+      else from_top (start - 1)
+    in
+    let start = from_top (t.limit - n) in
+    for i = 0 to n - 1 do
+      Hashtbl.replace t.reserved (start + i) ()
+    done;
+    start
+
+  let unreserve t pfn = Hashtbl.remove t.reserved pfn
+end
+
+type reserve_op = Reserve | Reserve_range of int | Unreserve of int | Alloc_range of int
+
+let prop_reserve_watermark_matches_linear_scan =
+  QCheck.Test.make ~name:"watermark reservations equal the linear scan" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (1 -- 80)
+           (frequency
+              [
+                (4, return Reserve);
+                (2, map (fun n -> Reserve_range n) (1 -- 9));
+                (3, map (fun i -> Unreserve i) (int_bound 1000));
+                (1, map (fun n -> Alloc_range n) (1 -- 6));
+              ])))
+    (fun ops ->
+      let pages = 96 in
+      let a = Allocator.create ~base:0 ~size:(pages * Addr.page_size) in
+      let r = Linear_reserve.create ~pages in
+      let held = ref [] in
+      let outcome f = match f () with pfn -> Some pfn | exception Out_of_memory -> None in
+      let same f g =
+        let x = outcome f in
+        x = outcome g
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Reserve ->
+              same
+                (fun () ->
+                  let pfn = Addr.pfn (Allocator.reserve_unused a) in
+                  held := pfn :: !held;
+                  pfn)
+                (fun () -> Linear_reserve.reserve_unused r)
+          | Reserve_range n ->
+              same
+                (fun () ->
+                  let pfn = Addr.pfn (Allocator.reserve_unused_range a n) in
+                  held := List.init n (fun i -> pfn + i) @ !held;
+                  pfn)
+                (fun () -> Linear_reserve.reserve_unused_range r n)
+          | Unreserve i -> (
+              match !held with
+              | [] -> true
+              | l ->
+                  let pfn = List.nth l (i mod List.length l) in
+                  held := List.filter (( <> ) pfn) l;
+                  Allocator.unreserve a (Addr.of_pfn pfn);
+                  Linear_reserve.unreserve r pfn;
+                  true)
+          | Alloc_range n ->
+              same
+                (fun () -> Addr.pfn (Allocator.alloc_range a n))
+                (fun () -> Linear_reserve.alloc_range r n))
+        ops)
+
+let test_allocator_range_reuse () =
+  let a = Allocator.create ~base:0 ~size:(64 * Addr.page_size) in
+  let r4 = Allocator.alloc_range a 4 and r2 = Allocator.alloc_range a 2 in
+  Allocator.free_range a r4 4;
+  Allocator.free_range a r2 2;
+  Alcotest.(check int) "same-length run reused" r2 (Allocator.alloc_range a 2);
+  Alcotest.(check bool) "other lengths bump" true (Allocator.alloc_range a 3 > r2);
+  Alcotest.(check int) "runs come back whole" r4 (Allocator.alloc_range a 4)
+
 let prop_phys_mem_roundtrip =
   QCheck.Test.make ~name:"phys_mem write/read round trip at random offsets"
     ~count:200
@@ -427,6 +657,7 @@ let suites =
         Alcotest.test_case "zero-copy blits" `Quick test_read_into_write_from;
         Alcotest.test_case "scalar cross-page + mmio" `Quick
           test_scalars_cross_page_and_mmio;
+        Alcotest.test_case "range-backed frames" `Quick test_phys_mem_range_backed;
         QCheck_alcotest.to_alcotest prop_phys_mem_roundtrip;
       ] );
     ( "memory.page_tables",
@@ -441,6 +672,8 @@ let suites =
         Alcotest.test_case "ept reverse lookup" `Quick test_ept_reverse_lookup;
         Alcotest.test_case "radix node counting" `Quick test_radix_node_counting;
         Alcotest.test_case "radix generation counter" `Quick test_radix_generation;
+        Alcotest.test_case "radix large leaf split" `Quick test_radix_large_leaf_split;
+        QCheck_alcotest.to_alcotest prop_radix_large_leaves_match_model;
         QCheck_alcotest.to_alcotest prop_radix_map_lookup;
         QCheck_alcotest.to_alcotest prop_radix_unmap;
         QCheck_alcotest.to_alcotest prop_two_level_walk_consistent;
@@ -456,5 +689,7 @@ let suites =
         Alcotest.test_case "alloc/free/reuse" `Quick test_allocator_basic;
         Alcotest.test_case "reserve unused" `Quick test_allocator_reserve_unused;
         Alcotest.test_case "exhaustion" `Quick test_allocator_exhaustion;
+        Alcotest.test_case "freed runs reused by length" `Quick test_allocator_range_reuse;
+        QCheck_alcotest.to_alcotest prop_reserve_watermark_matches_linear_scan;
       ] );
   ]

@@ -319,6 +319,23 @@ let test_task_buffers () =
     | _ -> false
     | exception Memory.Fault.Page_fault _ -> true)
 
+(* A Gem client allocates and frees 63 pages of argument buffers per
+   frame.  Freed VA must be reused, or the 768 MiB heap runs out after
+   about 3 120 frames. *)
+let test_task_buffers_reused () =
+  let f = make_fixture () in
+  let page = Memory.Addr.page_size in
+  let sizes = [ 59 * page; 2 * page; 100; page ] in
+  let cycle () =
+    let bufs = List.map (fun len -> (Task.alloc_buf f.task len, len)) sizes in
+    List.iter (fun (gva, len) -> Task.free_buf f.task ~gva ~len) bufs;
+    List.sort compare (List.map fst bufs)
+  in
+  let first = cycle () in
+  for _ = 2 to 5_000 do
+    Alcotest.(check (list int)) "the same VA every cycle" first (cycle ())
+  done
+
 let prop_alloc_buf_rw =
   QCheck.Test.make ~name:"task buffers round-trip at random sizes/offsets" ~count:100
     QCheck.(pair (int_range 1 30_000) (int_bound 1000))
@@ -355,6 +372,8 @@ let suites =
         Alcotest.test_case "os flavor tables" `Quick test_os_flavor_tables;
         Alcotest.test_case "sysfs" `Quick test_sysfs;
         Alcotest.test_case "task buffers" `Quick test_task_buffers;
+        Alcotest.test_case "task buffers reused over 5000 cycles" `Quick
+          test_task_buffers_reused;
         QCheck_alcotest.to_alcotest prop_alloc_buf_rw;
       ] );
   ]

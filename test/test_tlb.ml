@@ -73,6 +73,27 @@ let test_stale_after_ept_set_perms () =
   Alcotest.(check bool) "read faults after EPT permission strip" true
     (faults_on_read guest pt 0x1000)
 
+(* Guest RAM is mapped with 2 MiB EPT leaves: stripping one page must
+   split its leaf, invalidate the translation cached from the large
+   leaf, and leave the neighbouring pages translating as before. *)
+let test_stale_inside_large_leaf () =
+  let hyp = make_hyp () in
+  let guest = Hyp.create_vm hyp ~name:"guest" ~kind:Vm.Guest ~mem_bytes:(4 * mib) in
+  let page = Memory.Addr.page_size in
+  let gpa = (2 * mib) + (5 * page) in
+  let before = Vm.translate_gpa guest ~gpa ~access:Memory.Perm.Read in
+  let next = Vm.translate_gpa guest ~gpa:(gpa + page) ~access:Memory.Perm.Read in
+  Alcotest.(check int) "large leaf maps contiguous frames" (before + page) next;
+  Memory.Ept.set_perms (Vm.ept guest) ~gpa ~perms:Memory.Perm.none;
+  Alcotest.(check bool) "cached page faults after set_perms" true
+    (match Vm.read_gpa guest ~gpa ~len:4 with
+    | _ -> false
+    | exception Memory.Fault.Ept_violation _ -> true);
+  Alcotest.(check int) "page after still translates" next
+    (Vm.translate_gpa guest ~gpa:(gpa + page) ~access:Memory.Perm.Read);
+  Alcotest.(check int) "page before still translates" (before - page)
+    (Vm.translate_gpa guest ~gpa:(gpa - page) ~access:Memory.Perm.Write)
+
 let test_stale_after_unmap_page_from_process () =
   let hyp, driver, guest, pt, table = driver_and_guest () in
   let gva = 0x40000000 in
@@ -220,6 +241,7 @@ let suites =
           test_stale_after_guest_pt_unmap;
         Alcotest.test_case "stale after EPT set_perms" `Quick
           test_stale_after_ept_set_perms;
+        Alcotest.test_case "stale inside a 2 MiB leaf" `Quick test_stale_inside_large_leaf;
         Alcotest.test_case "stale after unmap hypercall" `Quick
           test_stale_after_unmap_page_from_process;
         Alcotest.test_case "stale after teardown" `Quick
