@@ -87,7 +87,7 @@ let two_choices t rng =
 let pick_channel t =
   match t.rng with None -> least_loaded t | Some rng -> two_choices t rng
 
-let rpc ?timeout_us t bytes =
+let rpc_encoded ?timeout_us t ~trace encode =
   if t.pending >= t.cap then begin
     t.rejected_busy <- t.rejected_busy + 1;
     raise Busy
@@ -95,7 +95,10 @@ let rpc ?timeout_us t bytes =
   t.pending <- t.pending + 1;
   Fun.protect
     ~finally:(fun () -> t.pending <- t.pending - 1)
-    (fun () -> Channel.rpc ?timeout_us (pick_channel t) bytes)
+    (fun () -> Channel.rpc ?timeout_us (pick_channel t) ~trace encode)
+
+let rpc ?timeout_us t bytes =
+  rpc_encoded ?timeout_us t ~trace:(Proto.get_trace bytes) (fun () -> Bytes.copy bytes)
 
 type stats = {
   rpcs : int;

@@ -44,6 +44,11 @@ val quiescent : t -> bool
     {!Channel.rpc}). *)
 val rpc : ?timeout_us:float -> t -> bytes -> bytes
 
+(** {!rpc} with a per-publish encoder (see {!Channel.rpc}); the
+    frontend's path, which keeps no descriptor alive across the
+    exchange. *)
+val rpc_encoded : ?timeout_us:float -> t -> trace:int -> (unit -> bytes) -> bytes
+
 type stats = {
   rpcs : int;
   legs : int;

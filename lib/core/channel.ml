@@ -415,20 +415,20 @@ let ring_req_doorbell t ~trace =
    sequence number, write the slot, mark it ready, ring.  Corruption
    garbles the opcode byte in the shared slot (the backend must
    reject, not crash); the sequence number is stamped first, so even a
-   corrupt descriptor's rejection pairs with its attempt. *)
-let publish t ~slot ~seq (req_bytes : bytes) =
-  let trace = Proto.get_trace req_bytes in
+   corrupt descriptor's rejection pairs with its attempt.  [encode]
+   yields a fresh descriptor per publish, which is consumed here. *)
+let publish t ~slot ~seq ~trace encode =
   let sp =
     Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Frontend ~cat:"stage"
       ~name:"front:publish" ()
   in
   marshal t;
-  let wire = Bytes.copy req_bytes in
+  let wire : bytes = encode () in
   Proto.set_seq wire seq;
   if fault_fires t site_corrupt_req then
     Bytes.set wire 0 (Char.chr (Char.code (Bytes.get wire 0) lxor 0xff));
-  t.front_view.Hypervisor.Shared_page.write ~offset:(slot_off slot) wire;
-  t.front_view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot)
+  Hypervisor.Shared_page.write t.front_view ~offset:(slot_off slot) wire;
+  Hypervisor.Shared_page.write_u32 t.front_view ~offset:(state_off slot)
     st_req_ready;
   ring_req_doorbell t ~trace;
   Obs.Trace.span_end t.tracer sp
@@ -441,10 +441,10 @@ let deliver_responses t =
   if not t.dead then
     for slot = 0 to t.slots - 1 do
       if
-        t.front_view.Hypervisor.Shared_page.read_u32 ~offset:(state_off slot)
+        Hypervisor.Shared_page.read_u32 t.front_view ~offset:(state_off slot)
         = st_resp_ready
       then begin
-        t.front_view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot)
+        Hypervisor.Shared_page.write_u32 t.front_view ~offset:(state_off slot)
           st_delivered;
         Sim.Mailbox.send t.resp_box.(slot) ()
       end
@@ -468,13 +468,17 @@ let fresh_seq t =
     response carrying a stale sequence number (the late answer of a
     timed-out attempt) is discarded and the live attempt republished.
     A channel killed mid-exchange fails with EIO instead: the
-    transport itself is gone. *)
-let rpc ?timeout_us t (req_bytes : bytes) : bytes =
+    transport itself is gone.
+
+    The descriptor is produced per publish: [encode ()] returns a
+    fresh one (trace id [trace] stamped) that the channel consumes,
+    and a resend calls it again, so no 1 KiB descriptor has to stay
+    alive across the exchange. *)
+let rpc ?timeout_us t ~trace (encode : unit -> bytes) : bytes =
   if t.dead then fail_dead t;
   t.rpcs <- t.rpcs + 1;
   t.in_flight <- t.in_flight + 1;
   if t.in_flight > t.max_in_flight then t.max_in_flight <- t.in_flight;
-  let trace = Proto.get_trace req_bytes in
   Fun.protect
     ~finally:(fun () -> t.in_flight <- t.in_flight - 1)
     (fun () ->
@@ -494,7 +498,9 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
       occupancy_sample t;
       let ring_sp =
         Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Ring ~cat:"ring"
-          ~name:(Printf.sprintf "slot%d" slot)
+          ~name:
+            (if Obs.Trace.recording t.tracer ~trace then Printf.sprintf "slot%d" slot
+             else "")
           ()
       in
       let box = t.resp_box.(slot) in
@@ -507,7 +513,7 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
       Fun.protect
         ~finally:(fun () ->
           if not t.dead then
-            t.front_view.Hypervisor.Shared_page.write_u32
+            Hypervisor.Shared_page.write_u32 t.front_view
               ~offset:(state_off slot) st_free;
           Queue.push slot t.free_slots;
           Obs.Trace.span_end t.tracer ring_sp;
@@ -521,7 +527,7 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
           in
           let rec attempt tries_left =
             let seq = fresh_seq t in
-            publish t ~slot ~seq req_bytes;
+            publish t ~slot ~seq ~trace encode;
             if t.dead then fail_dead t;
             await tries_left seq
           and await tries_left seq =
@@ -542,19 +548,19 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
                   if deadline > 0. then min window deadline else window
                 in
                 let v =
-                  t.front_view.Hypervisor.Shared_page.read_u32
+                  Hypervisor.Shared_page.read_u32 t.front_view
                     ~offset:front_watch_off
                 in
-                t.front_view.Hypervisor.Shared_page.write_u32
+                Hypervisor.Shared_page.write_u32 t.front_view
                   ~offset:front_watch_off (v + 1);
                 let watched =
                   Fun.protect
                     ~finally:(fun () ->
                       let v =
-                        t.front_view.Hypervisor.Shared_page.read_u32
+                        Hypervisor.Shared_page.read_u32 t.front_view
                           ~offset:front_watch_off
                       in
-                      t.front_view.Hypervisor.Shared_page.write_u32
+                      Hypervisor.Shared_page.write_u32 t.front_view
                         ~offset:front_watch_off (max 0 (v - 1)))
                     (fun () -> Sim.Mailbox.recv_timeout box ~timeout:window)
                 in
@@ -574,7 +580,7 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
                 let wake = Sim.Engine.now t.engine in
                 marshal t;
                 let resp =
-                  t.front_view.Hypervisor.Shared_page.read
+                  Hypervisor.Shared_page.read t.front_view
                     ~offset:(slot_off slot) ~len:Proto.slot_size
                 in
                 if Proto.get_seq resp = seq then begin
@@ -589,7 +595,7 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
                      republish the same attempt *)
                   t.stale_responses <- t.stale_responses + 1;
                   m_incr t "rpc.stale_responses";
-                  publish t ~slot ~seq req_bytes;
+                  publish t ~slot ~seq ~trace encode;
                   if t.dead then fail_dead t;
                   await tries_left seq
                 end
@@ -619,8 +625,8 @@ let inject_raw t ~slot (bytes : bytes) =
   if not t.dead then begin
     let wire = Bytes.make Proto.slot_size '\000' in
     Bytes.blit bytes 0 wire 0 (min (Bytes.length bytes) Proto.slot_size);
-    t.front_view.Hypervisor.Shared_page.write ~offset:(slot_off slot) wire;
-    t.front_view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot)
+    Hypervisor.Shared_page.write t.front_view ~offset:(slot_off slot) wire;
+    Hypervisor.Shared_page.write_u32 t.front_view ~offset:(state_off slot)
       st_req_ready;
     ring_req_doorbell t ~trace:0
   end
@@ -639,7 +645,7 @@ let next_request t : (int * bytes) option =
         else
           let slot = (t.scan_cursor + i) mod t.slots in
           if
-            t.back_view.Hypervisor.Shared_page.read_u32 ~offset:(state_off slot)
+            Hypervisor.Shared_page.read_u32 t.back_view ~offset:(state_off slot)
             = st_req_ready
           then Some slot
           else go (i + 1)
@@ -656,13 +662,13 @@ let next_request t : (int * bytes) option =
       match scan () with
       | Some slot ->
           t.scan_cursor <- (slot + 1) mod t.slots;
-          t.back_view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot)
+          Hypervisor.Shared_page.write_u32 t.back_view ~offset:(state_off slot)
             st_in_service;
           t.service_active.(slot) <- true;
           t.in_service <- t.in_service + 1;
           marshal t;
           let bytes =
-            t.back_view.Hypervisor.Shared_page.read ~offset:(slot_off slot)
+            Hypervisor.Shared_page.read t.back_view ~offset:(slot_off slot)
               ~len:Proto.slot_size
           in
           t.service_seq.(slot) <- Proto.get_seq bytes;
@@ -748,13 +754,13 @@ let respond t ~slot (resp_bytes : bytes) =
     let wire = Bytes.copy resp_bytes in
     Proto.set_seq wire t.service_seq.(slot);
     Proto.set_trace wire trace;
-    t.back_view.Hypervisor.Shared_page.write ~offset:(slot_off slot) wire;
-    t.back_view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot)
+    Hypervisor.Shared_page.write t.back_view ~offset:(slot_off slot) wire;
+    Hypervisor.Shared_page.write_u32 t.back_view ~offset:(state_off slot)
       st_resp_ready;
     t.in_service <- t.in_service - 1;
     Obs.Trace.span_end t.tracer sp;
     if
-      t.back_view.Hypervisor.Shared_page.read_u32 ~offset:front_watch_off > 0
+      Hypervisor.Shared_page.read_u32 t.back_view ~offset:front_watch_off > 0
     then begin
       (* the waiter is poll-watching (hybrid frontend mirror): skip the
          interrupt, deliver at polling cost.  Coalesces like the
@@ -801,11 +807,11 @@ let notify t =
   if not t.dead then begin
     t.notifications <- t.notifications + 1;
     let counter =
-      t.back_view.Hypervisor.Shared_page.read_u32 ~offset:notify_off
+      Hypervisor.Shared_page.read_u32 t.back_view ~offset:notify_off
     in
     (* the notify word is a u32 on the wire: wrap explicitly instead of
        letting the OCaml int grow past what the shared page models *)
-    t.back_view.Hypervisor.Shared_page.write_u32 ~offset:notify_off
+    Hypervisor.Shared_page.write_u32 t.back_view ~offset:notify_off
       ((counter + 1) land notify_mask);
     (* Signals collapse: while a notification interrupt is pending, new
        events only bump the counter (like SIGIO, §2.1). *)
@@ -822,7 +828,7 @@ let notify t =
     observed, so wrap behaviour can be exercised directly. *)
 let preset_notify_counter t v =
   let v = v land notify_mask in
-  t.back_view.Hypervisor.Shared_page.write_u32 ~offset:notify_off v;
+  Hypervisor.Shared_page.write_u32 t.back_view ~offset:notify_off v;
   t.notify_seen <- v
 
 (** Frontend: block for the next notification; [None] once the channel
@@ -837,7 +843,7 @@ let next_notification t =
     else begin
       t.pending_notify <- false;
       let counter =
-        t.front_view.Hypervisor.Shared_page.read_u32 ~offset:notify_off
+        Hypervisor.Shared_page.read_u32 t.front_view ~offset:notify_off
       in
       let delta = (counter - t.notify_seen) land notify_mask in
       t.notify_seen <- counter;

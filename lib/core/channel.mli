@@ -70,8 +70,13 @@ val quiescent : t -> bool
     when the channel dies, ETIMEDOUT when the deadline expires after
     [Config.rpc_retries] resends (at-least-once: only retry idempotent
     operations under a deadline).  Responses carrying a stale sequence
-    number (late answers to timed-out attempts) are discarded. *)
-val rpc : ?timeout_us:float -> t -> bytes -> bytes
+    number (late answers to timed-out attempts) are discarded.
+
+    The request descriptor is produced per publish: [encode ()] returns
+    a fresh descriptor (trace id [trace] already stamped) that the
+    channel consumes, and a resend calls it again, so the caller keeps
+    no 1 KiB descriptor alive across the exchange. *)
+val rpc : ?timeout_us:float -> t -> trace:int -> (unit -> bytes) -> bytes
 
 (** Hostile-frontend injection (adversarial tests): write raw bytes
     into a ring slot and mark it request-ready, bypassing the RPC

@@ -246,7 +246,10 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
         let sp =
           Obs.Trace.span_begin tracer ~trace ~lane:Obs.Trace.Backend
             ~cat:"subop"
-            ~name:(Printf.sprintf "subop:%s" (Proto.request_name sub))
+            ~name:
+              (if Obs.Trace.recording tracer ~trace then
+                 "subop:" ^ Proto.request_name sub
+               else "")
             ()
         in
         Obs.Trace.span_arg sp "index" (float_of_int i);

@@ -157,17 +157,17 @@ let resume ?pool t =
    resuming, a parked operation fails EIO (the op was possibly
    executed: EIO, not ENODEV, exactly as a mid-operation transport
    death). *)
-let rec pool_rpc t ~parked req_bytes =
+let rec pool_rpc t ~parked ~trace encode =
   while t.paused do
     Wait_queue.sleep t.resume_wq
   done;
   if t.session = Faulted then
     if parked then Errno.fail Errno.EIO "driver VM died under a parked operation"
     else Errno.fail Errno.ENODEV "driver VM session faulted";
-  try Chan_pool.rpc t.pool req_bytes
+  try Chan_pool.rpc_encoded t.pool ~trace encode
   with Channel.Retired ->
     t.ops_parked <- t.ops_parked + 1;
-    pool_rpc t ~parked:true req_bytes
+    pool_rpc t ~parked:true ~trace encode
 
 (* The watchdog: ping the backend with a no-op under a deadline; after
    [heartbeat_miss_limit] consecutive misses (or a transport EIO,
@@ -326,19 +326,36 @@ let forward t (task : Defs.task) ~ops req : Proto.response =
         (* after a transport death the table was already revoked wholesale *)
         if t.session = Healthy then release t grant_ref)
       (fun () ->
-        let req_bytes =
-          try Proto.encode_request ~grant_ref ~pid:task.Defs.pid req
-          with Proto.Oversized { field; length; limit } ->
-            (* the derived encoder refuses what the decoder would
-               reject (e.g. an over-long open path) instead of
-               corrupting adjacent slot words *)
-            Errno.fail Errno.ENAMETOOLONG
-              (Printf.sprintf "%s: %d bytes exceeds wire limit %d" field
-                 length limit)
+        let encode () =
+          let b = Proto.encode_request ~grant_ref ~pid:task.Defs.pid req in
+          Proto.set_trace b trace;
+          b
         in
-        Proto.set_trace req_bytes trace;
+        (* Encoded once up front, so an oversized request fails here;
+           that descriptor feeds the first publish, and a resend or a
+           replay after a handoff encodes afresh — no 1 KiB
+           descriptor stays alive across the exchange. *)
+        let first =
+          ref
+            (Some
+               (try encode ()
+                with Proto.Oversized { field; length; limit } ->
+                  (* the derived encoder refuses what the decoder would
+                     reject (e.g. an over-long open path) instead of
+                     corrupting adjacent slot words *)
+                  Errno.fail Errno.ENAMETOOLONG
+                    (Printf.sprintf "%s: %d bytes exceeds wire limit %d" field
+                       length limit)))
+        in
+        let next () =
+          match !first with
+          | Some b ->
+              first := None;
+              b
+          | None -> encode ()
+        in
         let resp_bytes =
-          try pool_rpc t ~parked:false req_bytes with
+          try pool_rpc t ~parked:false ~trace next with
           | Chan_pool.Busy ->
               Errno.fail Errno.EBUSY "per-guest operation cap reached"
           | Errno.Unix_error (Errno.EIO, _) as e ->

@@ -380,7 +380,7 @@ let encode_request ~grant_ref ~pid req =
 (* ---- derived decoding ---- *)
 
 let reject label msg =
-  W.Coverage.hit ("reject." ^ label);
+  W.Coverage.hit_named ~prefix:"reject." label;
   raise (Malformed msg)
 
 let decode_subop b off =
@@ -395,7 +395,7 @@ let decode_subop b off =
   | Some s ->
       if len < 12 + W.payload_span ~payload_base:16 s then
         reject "batch.payload" "batch record payload";
-      W.Coverage.hit ("decode.sub." ^ s.W.name);
+      W.Coverage.hit_named ~prefix:"decode.sub." s.W.name;
       (W.decode_fields s b ~base:(off + 12 - 16) ~msg_prefix:"batch " ~vfd, off + len)
 
 let decode_request b =
@@ -420,7 +420,7 @@ let decode_request b =
       match find_req_spec opcode with
       | None -> reject "opcode" (Printf.sprintf "opcode %d" opcode)
       | Some s ->
-          W.Coverage.hit ("decode.req." ^ s.W.name);
+          W.Coverage.hit_named ~prefix:"decode.req." s.W.name;
           W.decode_fields s b ~base:0 ~msg_prefix:"" ~vfd
   in
   (req, grant_ref, pid)
@@ -584,7 +584,7 @@ let decode_subresp b off =
   | Some s ->
       if len < 8 + W.payload_span ~payload_base:8 s then
         reject "batch_reply.payload" "batch reply payload";
-      W.Coverage.hit ("decode.subresp." ^ s.W.name);
+      W.Coverage.hit_named ~prefix:"decode.subresp." s.W.name;
       (W.decode_fields s b ~base:off ~msg_prefix:"" ~vfd:0, off + len)
 
 let decode_response b =
@@ -606,7 +606,7 @@ let decode_response b =
     match find_resp_spec tag with
     | None -> reject "response_tag" (Printf.sprintf "response tag %d" tag)
     | Some s ->
-        W.Coverage.hit ("decode.resp." ^ s.W.name);
+        W.Coverage.hit_named ~prefix:"decode.resp." s.W.name;
         W.decode_fields s b ~base:0 ~msg_prefix:"" ~vfd:0
 
 (* ---- derived fuzzing: valid skeletons, one field driven hostile ---- *)

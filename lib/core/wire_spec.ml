@@ -81,6 +81,7 @@ module Coverage = struct
       | Some r -> incr r
       | None -> Hashtbl.add table label (ref 1)
 
+  let hit_named ~prefix name = if !enabled then hit (prefix ^ name)
   let distinct () = Hashtbl.length table
 
   let snapshot () =
@@ -96,7 +97,7 @@ let r32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
 let r64 b off = Int64.to_int (Bytes.get_int64_le b off)
 
 let reject label msg =
-  Coverage.hit ("reject." ^ label);
+  Coverage.hit_named ~prefix:"reject." label;
   raise (Malformed msg)
 
 let field_end f =

@@ -167,6 +167,11 @@ module Coverage : sig
   val disable : unit -> unit
   val reset : unit -> unit
   val hit : string -> unit
+
+  (** [hit_named ~prefix name] counts branch [prefix ^ name], building
+      the label only when enabled. *)
+  val hit_named : prefix:string -> string -> unit
+
   val distinct : unit -> int
 
   (** [(branch, hits)] pairs, sorted by branch label. *)

@@ -86,17 +86,17 @@ let op_len = function
 
 let write_entry (view : Shared_page.view) ~slot ~op ~last =
   let base = slot * entry_size in
-  view.Shared_page.write_u32 ~offset:base
+  Shared_page.write_u32 view ~offset:base
     (kind_code op lor ((if last then 1 else 0) lsl 8));
-  view.Shared_page.write_u32 ~offset:(base + 4) (op_len op);
-  view.Shared_page.write_u64 ~offset:(base + 8) (Int64.of_int (op_addr op))
+  Shared_page.write_u32 view ~offset:(base + 4) (op_len op);
+  Shared_page.write_u64 view ~offset:(base + 8) (Int64.of_int (op_addr op))
 
 let read_entry (view : Shared_page.view) ~slot =
   let base = slot * entry_size in
-  let word = view.Shared_page.read_u32 ~offset:base in
+  let word = Shared_page.read_u32 view ~offset:base in
   let kind = word land 0xff and last = word land 0x100 <> 0 in
-  let len = view.Shared_page.read_u32 ~offset:(base + 4) in
-  let addr = Int64.to_int (view.Shared_page.read_u64 ~offset:(base + 8)) in
+  let len = Shared_page.read_u32 view ~offset:(base + 4) in
+  let addr = Int64.to_int (Shared_page.read_u64 view ~offset:(base + 8)) in
   let op =
     match kind with
     | 0 -> None
@@ -108,7 +108,7 @@ let read_entry (view : Shared_page.view) ~slot =
   (op, last)
 
 let slot_free (view : Shared_page.view) slot =
-  view.Shared_page.read_u32 ~offset:(slot * entry_size) land 0xff = 0
+  Shared_page.read_u32 view ~offset:(slot * entry_size) land 0xff = 0
 
 (* ---- frontend side ---- *)
 
@@ -147,7 +147,7 @@ let release t grant_ref =
     else begin
       let op, last = read_entry t.guest ~slot in
       if op <> None then t.active <- max 0 (t.active - 1);
-      t.guest.Shared_page.write_u32 ~offset:(slot * entry_size) 0;
+      Shared_page.write_u32 t.guest ~offset:(slot * entry_size) 0;
       if not last then go (slot + 1)
     end
   in
@@ -163,7 +163,7 @@ let revoke_all t =
   let cleared = ref 0 in
   for slot = 0 to capacity - 1 do
     if not (slot_free t.guest slot) then begin
-      t.guest.Shared_page.write_u32 ~offset:(slot * entry_size) 0;
+      Shared_page.write_u32 t.guest ~offset:(slot * entry_size) 0;
       incr cleared
     end
   done;

@@ -5,14 +5,12 @@
 
 type t
 
-type view = {
-  read : offset:int -> len:int -> bytes;
-  write : offset:int -> bytes -> unit;
-  read_u32 : offset:int -> int;
-  write_u32 : offset:int -> int -> unit;
-  read_u64 : offset:int -> int64;
-  write_u64 : offset:int -> int64 -> unit;
-}
+(** One party's access path to a region: a VM's (EPT-checked) or the
+    hypervisor's.  A view caches each page's backing frame; for a VM
+    the cache is stamped with the EPT generation and TLB epoch, so a
+    cached access counts one TLB hit and any remap, permission change
+    or TLB flush sends the next access through the full walk. *)
+type view
 
 (** [allocate ?pages phys] backs the region with [pages] (default 1)
     contiguous frames. *)
@@ -28,8 +26,20 @@ val size : t -> int
     (base returned). *)
 val map_into : t -> Vm.t -> perms:Memory.Perm.t -> int
 
-(** EPT-checked accessors for a VM that has the region mapped. *)
+(** EPT-checked access for a VM that has the region mapped. *)
 val view_of : t -> Vm.t -> view
 
 (** The hypervisor's own view bypasses EPTs. *)
 val hypervisor_view : t -> view
+
+(** Accessors; [offset] is relative to the region's start, and an
+    access outside the region raises [Invalid_argument].  A VM view
+    raises {!Memory.Fault.Ept_violation} exactly where the VM's own
+    CPU access would. *)
+
+val read : view -> offset:int -> len:int -> bytes
+val write : view -> offset:int -> bytes -> unit
+val read_u32 : view -> offset:int -> int
+val write_u32 : view -> offset:int -> int -> unit
+val read_u64 : view -> offset:int -> int64
+val write_u64 : view -> offset:int -> int64 -> unit

@@ -60,6 +60,12 @@ let backing t ~spn ~access =
       b
   | None -> Fault.bus_error ~addr:(Addr.of_pfn spn) ~access "unpopulated frame"
 
+(** The backing bytes of RAM frame [spn], materialised if untouched;
+    [None] for an MMIO page.  A frame never moves once materialised,
+    so callers may keep it. *)
+let ram_frame t ~spn ~access =
+  match backing t ~spn ~access with Ram frame -> Some frame | Mmio _ -> None
+
 (** Zero-copy read: blit [len] bytes at system physical address [spa]
     into [dst] at [dst_off].  May cross frame boundaries; no
     intermediate buffer is allocated (the data-plane fast path). *)

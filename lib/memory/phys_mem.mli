@@ -22,6 +22,12 @@ val alloc_mmio : t -> mmio_handler -> int
 
 val is_mmio : t -> int -> bool
 
+(** The 4 KiB backing bytes of RAM frame [spn] (materialised if
+    untouched), or [None] for an MMIO page.  Frames never move, so the
+    result may be cached.  Raises {!Fault.Bus_error} (reporting
+    [access]) on frames never allocated. *)
+val ram_frame : t -> spn:int -> access:Perm.access -> Bytes.t option
+
 (** Byte access at system physical addresses; may cross frames.
     Raises {!Fault.Bus_error} on frames never allocated. *)
 val read : t -> spa:int -> len:int -> bytes

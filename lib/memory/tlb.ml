@@ -43,6 +43,7 @@ type t = {
   stats : stats;
   max_entries : int;
   mutable enabled : bool;
+  mutable epoch : int; (* bumped whenever entries are dropped wholesale *)
 }
 
 (* The gpa→spa entries use space id 0; guest page-table ids start at 1. *)
@@ -50,14 +51,18 @@ let gpa_space = 0
 
 let create ?(max_entries = 16384) ?stats () =
   let stats = match stats with Some s -> s | None -> create_stats () in
-  { table = Hashtbl.create 256; stats; max_entries; enabled = true }
+  { table = Hashtbl.create 256; stats; max_entries; enabled = true; epoch = 0 }
 
 let stats t = t.stats
 let entry_count t = Hashtbl.length t.table
 let enabled t = t.enabled
 let set_enabled t on = t.enabled <- on
 
-let flush t = Hashtbl.reset t.table
+let epoch t = t.epoch
+
+let flush t =
+  Hashtbl.reset t.table;
+  t.epoch <- t.epoch + 1
 
 (** Cache lookup.  Returns the backing frame only when the entry is
     current (both generations match) {e and} the cached leaf
@@ -79,7 +84,7 @@ let lookup t ~key ~access ~pt_gen ~ept_gen =
 
 let install t ~key entry =
   if t.enabled then begin
-    if Hashtbl.length t.table >= t.max_entries then Hashtbl.reset t.table;
+    if Hashtbl.length t.table >= t.max_entries then flush t;
     Hashtbl.replace t.table key entry
   end
 

@@ -41,6 +41,12 @@ val set_enabled : t -> bool -> unit
 
 val flush : t -> unit
 
+(** Bumped by {!flush} and by the wholesale reset at [max_entries]:
+    an entry present when the epoch read [e] is still present while it
+    reads [e] (fills never evict other keys).  Frame caches layered on
+    top of the TLB (the shared-page views) stamp with it. *)
+val epoch : t -> int
+
 (** Returns the backing frame iff the entry is generation-current and
     its cached permissions allow [access]; counts a hit or miss. *)
 val lookup :

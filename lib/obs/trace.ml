@@ -133,8 +133,10 @@ let mint_id t =
 (** Open a span against [trace].  With the sink disabled — or for an
     untraced operation (trace id 0, e.g. the watchdog heartbeat) — the
     shared dummy span is returned and nothing is recorded. *)
+let recording t ~trace = t.enabled && trace <> 0
+
 let span_begin t ~trace ~lane ~cat ~name () =
-  if (not t.enabled) || trace = 0 then dummy_span
+  if not (recording t ~trace) then dummy_span
   else begin
     t.next_span <- t.next_span + 1;
     let sp =

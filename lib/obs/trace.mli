@@ -49,6 +49,11 @@ val attach_clock : t -> (unit -> float) -> unit
 (** Fresh per-operation trace id; 0 ("untraced") when disabled. *)
 val mint_id : t -> int
 
+(** Whether {!span_begin} against [trace] would record: the sink is
+    enabled and [trace] is not 0.  Guard span names that cost an
+    allocation to build. *)
+val recording : t -> trace:int -> bool
+
 (** Open a span.  Returns a shared dummy (nothing recorded) when the
     sink is disabled or [trace] is 0. *)
 val span_begin : t -> trace:int -> lane:lane -> cat:string -> name:string -> unit -> span

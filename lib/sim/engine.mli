@@ -11,7 +11,7 @@ type t
 exception Deadlock of string
 
 (** Create an engine with its clock at 0. *)
-val create : ?trace:(float -> string -> unit) -> unit -> t
+val create : unit -> t
 
 (** Current simulated time (microseconds by convention; see
     {!Timeunit}). *)

@@ -212,7 +212,7 @@ let test_stale_response_discarded () =
   in
   let ch = raw_channel ~config (m, g) in
   let executions = echo_server ch (M.engine m) ~first_delay_us:600. in
-  run_in (M.engine m) (fun () -> ignore (Ch.rpc ch noop_req));
+  run_in (M.engine m) (fun () -> ignore (Ch.rpc ch ~trace:0 (fun () -> Bytes.copy noop_req)));
   let s = Ch.stats ch in
   Alcotest.(check int) "first attempt timed out" 1 s.Ch.timeouts;
   Alcotest.(check int) "resent once" 1 s.Ch.retries;
@@ -237,7 +237,7 @@ let test_dropped_response_leg_recovered () =
   in
   let ch = raw_channel ~config (m, g) in
   let executions = echo_server ch (M.engine m) ~first_delay_us:0. in
-  run_in (M.engine m) (fun () -> ignore (Ch.rpc ch noop_req));
+  run_in (M.engine m) (fun () -> ignore (Ch.rpc ch ~trace:0 (fun () -> Bytes.copy noop_req)));
   let s = Ch.stats ch in
   Alcotest.(check int) "deadline recovered the lost completion" 1 s.Ch.timeouts;
   Alcotest.(check int) "resent once" 1 s.Ch.retries;

@@ -58,11 +58,11 @@ let test_shared_page_two_vms () =
   let (_ : int) = Shared_page.map_into page a ~perms:Memory.Perm.rw in
   let (_ : int) = Shared_page.map_into page b ~perms:Memory.Perm.rw in
   let va = Shared_page.view_of page a and vb = Shared_page.view_of page b in
-  va.Shared_page.write_u32 ~offset:16 77;
-  Alcotest.(check int) "b sees a's write" 77 (vb.Shared_page.read_u32 ~offset:16);
-  vb.Shared_page.write ~offset:100 (Bytes.of_string "pong");
+  Shared_page.write_u32 va ~offset:16 77;
+  Alcotest.(check int) "b sees a's write" 77 (Shared_page.read_u32 vb ~offset:16);
+  Shared_page.write vb ~offset:100 (Bytes.of_string "pong");
   Alcotest.(check string) "a sees b's write" "pong"
-    (Bytes.to_string (va.Shared_page.read ~offset:100 ~len:4))
+    (Bytes.to_string (Shared_page.read va ~offset:100 ~len:4))
 
 let test_shared_page_respects_ept_perms () =
   let hyp = make_hyp () in
@@ -70,12 +70,212 @@ let test_shared_page_respects_ept_perms () =
   let page = Shared_page.allocate (Hyp.phys hyp) in
   let gpa = Shared_page.map_into page a ~perms:Memory.Perm.r in
   let va = Shared_page.view_of page a in
-  let (_ : bytes) = va.Shared_page.read ~offset:0 ~len:4 in
+  let (_ : bytes) = Shared_page.read va ~offset:0 ~len:4 in
   Alcotest.(check bool) "write through read-only mapping faults" true
-    (match va.Shared_page.write ~offset:0 (Bytes.of_string "x") with
+    (match Shared_page.write va ~offset:0 (Bytes.of_string "x") with
     | () -> false
     | exception Memory.Fault.Ept_violation info ->
         info.Memory.Fault.addr = gpa && info.Memory.Fault.access = Memory.Perm.Write)
+
+(* ---- shared-page frame cache: revocation, flush, counter parity ---- *)
+
+let ept_fault f =
+  match f () with
+  | _ -> None
+  | exception Memory.Fault.Ept_violation info -> Some info
+
+let fault_t =
+  Alcotest.(
+    option
+      (testable
+         (fun ppf (i : Memory.Fault.info) ->
+           Format.fprintf ppf "%a %a %s" Memory.Addr.pp_hex i.addr Memory.Perm.pp_access
+             i.access i.reason)
+         ( = )))
+
+(* Every view accessor, after a mapping change, must fault exactly as
+   the VM's plain accessor does on the same address. *)
+let check_view_faults_like_vm label vm view ~gpa =
+  let off = 8 in
+  let pairs =
+    [
+      ("read_u32", (fun () -> ignore (Shared_page.read_u32 view ~offset:off)),
+        fun () -> ignore (Vm.read_gpa_u32 vm ~gpa:(gpa + off)));
+      ("write_u32", (fun () -> Shared_page.write_u32 view ~offset:off 1),
+        fun () -> Vm.write_gpa_u32 vm ~gpa:(gpa + off) 1);
+      ("read_u64", (fun () -> ignore (Shared_page.read_u64 view ~offset:off)),
+        fun () -> ignore (Vm.read_gpa_u64 vm ~gpa:(gpa + off)));
+      ("write_u64", (fun () -> Shared_page.write_u64 view ~offset:off 1L),
+        fun () -> Vm.write_gpa_u64 vm ~gpa:(gpa + off) 1L);
+      ("read", (fun () -> ignore (Shared_page.read view ~offset:off ~len:64)),
+        fun () -> ignore (Vm.read_gpa vm ~gpa:(gpa + off) ~len:64));
+      ("write", (fun () -> Shared_page.write view ~offset:off (Bytes.make 64 'x')),
+        fun () -> Vm.write_gpa vm ~gpa:(gpa + off) (Bytes.make 64 'x'));
+    ]
+  in
+  List.iter
+    (fun (name, via_view, via_vm) ->
+      let expected = ept_fault via_vm in
+      Alcotest.(check bool) (label ^ ": " ^ name ^ " faults") true (expected <> None);
+      Alcotest.check fault_t (label ^ ": " ^ name ^ " same fault") expected
+        (ept_fault via_view))
+    pairs
+
+(* Touch every accessor so both the read and the write caches are warm. *)
+let warm view =
+  Shared_page.write_u32 view ~offset:8 0x5a5a;
+  ignore (Shared_page.read_u32 view ~offset:8);
+  Shared_page.write_u64 view ~offset:16 7L;
+  ignore (Shared_page.read_u64 view ~offset:16);
+  Shared_page.write view ~offset:64 (Bytes.of_string "slot");
+  ignore (Shared_page.read view ~offset:64 ~len:4)
+
+let check_view_works label view =
+  Shared_page.write_u32 view ~offset:8 0x1234;
+  Alcotest.(check int) (label ^ ": access works again") 0x1234
+    (Shared_page.read_u32 view ~offset:8)
+
+let test_shared_page_cache_revocation () =
+  let hyp = make_hyp () in
+  let a = Hyp.create_vm hyp ~name:"a" ~kind:Vm.Guest ~mem_bytes:mib in
+  let page = Shared_page.allocate (Hyp.phys hyp) in
+  let gpa = Shared_page.map_into page a ~perms:Memory.Perm.rw in
+  let view = Shared_page.view_of page a in
+  let ept = Vm.ept a in
+  (* permissions stripped to none, then restored *)
+  warm view;
+  Memory.Ept.set_perms ept ~gpa ~perms:Memory.Perm.none;
+  check_view_faults_like_vm "perms none" a view ~gpa;
+  Memory.Ept.set_perms ept ~gpa ~perms:Memory.Perm.rw;
+  check_view_works "perms restored" view;
+  (* read-only: reads keep working, writes fault *)
+  warm view;
+  Memory.Ept.set_perms ept ~gpa ~perms:Memory.Perm.r;
+  Alcotest.(check int) "read-only: read still works" 0x5a5a
+    (Shared_page.read_u32 view ~offset:8);
+  Alcotest.check fault_t "read-only: write faults as uncached"
+    (ept_fault (fun () -> Vm.write_gpa_u32 a ~gpa:(gpa + 8) 1))
+    (ept_fault (fun () -> Shared_page.write_u32 view ~offset:8 1));
+  Memory.Ept.set_perms ept ~gpa ~perms:Memory.Perm.rw;
+  check_view_works "write restored" view;
+  (* unmapped, then mapped back onto the same frame *)
+  warm view;
+  let spa =
+    match Memory.Ept.lookup ept ~gpa with Some (spa, _) -> spa | None -> assert false
+  in
+  Alcotest.(check bool) "unmapped" true (Memory.Ept.unmap ept ~gpa);
+  check_view_faults_like_vm "unmapped" a view ~gpa;
+  Memory.Ept.map ept ~gpa ~spa ~perms:Memory.Perm.rw;
+  check_view_works "remapped" view
+
+let test_shared_page_cache_region_assignment () =
+  let hyp = make_hyp () in
+  let driver = Hyp.create_vm hyp ~name:"driver" ~kind:Vm.Driver ~mem_bytes:(4 * mib) in
+  let g = Hyp.create_vm hyp ~name:"g" ~kind:Vm.Guest ~mem_bytes:mib in
+  let page = Shared_page.allocate (Hyp.phys hyp) in
+  let gpa = Shared_page.map_into page driver ~perms:Memory.Perm.rw in
+  let view = Shared_page.view_of page driver in
+  warm view;
+  (* the page's frame is donated to a protected region: the driver VM
+     loses CPU access, whatever it had cached *)
+  let vram = Memory.Phys_mem.alloc_frames (Hyp.phys hyp) 1 in
+  Memory.Ept.map (Vm.ept driver)
+    ~gpa:(Memory.Allocator.reserve_unused driver.Vm.gpa_alloc)
+    ~spa:(Memory.Addr.of_pfn vram) ~perms:Memory.Perm.rw;
+  let (_ : Region.t) =
+    Region.create hyp ~driver_vm:driver ~iommu:(Memory.Iommu.create ~name:"dev")
+      ~owners:[ g ]
+      ~pool_spns:[ [ Shared_page.spn page ] ]
+      ~dev_mem:(Memory.Addr.of_pfn vram, 1)
+  in
+  check_view_faults_like_vm "protected region" driver view ~gpa;
+  Memory.Ept.set_perms (Vm.ept driver) ~gpa ~perms:Memory.Perm.rw;
+  check_view_works "region perms restored" view
+
+let test_shared_page_cache_kill_flushes () =
+  let hyp = make_hyp () in
+  let a = Hyp.create_vm hyp ~name:"a" ~kind:Vm.Guest ~mem_bytes:mib in
+  let page = Shared_page.allocate (Hyp.phys hyp) in
+  let (_ : int) = Shared_page.map_into page a ~perms:Memory.Perm.rw in
+  let view = Shared_page.view_of page a in
+  let stats = Memory.Tlb.stats (Vm.tlb a) in
+  warm view;
+  let walks = stats.Memory.Tlb.walks and misses = stats.Memory.Tlb.misses in
+  ignore (Shared_page.read_u32 view ~offset:8);
+  Alcotest.(check int) "warm access does not walk" walks stats.Memory.Tlb.walks;
+  Hyp.kill_vm hyp a;
+  ignore (Shared_page.read_u32 view ~offset:8);
+  Alcotest.(check int) "after kill_vm the next access walks" (walks + 1)
+    stats.Memory.Tlb.walks;
+  Alcotest.(check int) "and misses" (misses + 1) stats.Memory.Tlb.misses
+
+(* The same accesses through a view and through the VM's plain
+   accessors leave identical TLB counters: a frame-cache hit stands
+   for exactly one TLB hit. *)
+let test_shared_page_cache_counter_parity () =
+  let run via_view =
+    let hyp = make_hyp () in
+    let a = Hyp.create_vm hyp ~name:"a" ~kind:Vm.Guest ~mem_bytes:mib in
+    let page = Shared_page.allocate ~pages:2 (Hyp.phys hyp) in
+    let gpa = Shared_page.map_into page a ~perms:Memory.Perm.rw in
+    let view = Shared_page.view_of page a in
+    let r32 off =
+      if via_view then Shared_page.read_u32 view ~offset:off
+      else Vm.read_gpa_u32 a ~gpa:(gpa + off)
+    and w32 off v =
+      if via_view then Shared_page.write_u32 view ~offset:off v
+      else Vm.write_gpa_u32 a ~gpa:(gpa + off) v
+    and r64 off =
+      if via_view then Shared_page.read_u64 view ~offset:off
+      else Vm.read_gpa_u64 a ~gpa:(gpa + off)
+    and w64 off v =
+      if via_view then Shared_page.write_u64 view ~offset:off v
+      else Vm.write_gpa_u64 a ~gpa:(gpa + off) v
+    and rd off len =
+      if via_view then Shared_page.read view ~offset:off ~len
+      else Vm.read_gpa a ~gpa:(gpa + off) ~len
+    and wr off data =
+      if via_view then Shared_page.write view ~offset:off data
+      else Vm.write_gpa a ~gpa:(gpa + off) data
+    in
+    let page_size = Memory.Addr.page_size in
+    let seen = ref [] in
+    let note v = seen := v :: !seen in
+    w32 0 1;
+    note (r32 0);
+    w32 (page_size + 4) 2;
+    note (r32 (page_size + 4));
+    for i = 0 to 9 do
+      w32 (8 * i) i;
+      note (r32 (8 * i))
+    done;
+    w64 64 42L;
+    note (Int64.to_int (r64 64));
+    (* page-straddling scalar and slot copies *)
+    w32 (page_size - 2) 0xabcd;
+    note (r32 (page_size - 2));
+    wr (page_size - 512) (Bytes.make 1024 'q');
+    note (Bytes.length (rd (page_size - 512) 1024));
+    (* a mapping change, then a flush *)
+    Memory.Ept.set_perms (Vm.ept a) ~gpa ~perms:Memory.Perm.rw;
+    note (r32 0);
+    w32 0 3;
+    Vm.flush_tlb a;
+    note (r32 (page_size + 4));
+    note (r32 0);
+    (* the uncached ablation, then back *)
+    Memory.Tlb.set_enabled (Vm.tlb a) false;
+    w32 0 4;
+    note (r32 0);
+    Memory.Tlb.set_enabled (Vm.tlb a) true;
+    note (r32 0);
+    w32 4 5;
+    let s = Memory.Tlb.stats (Vm.tlb a) in
+    (List.rev !seen, (s.Memory.Tlb.hits, s.Memory.Tlb.misses, s.Memory.Tlb.walks))
+  in
+  let view_values, view_stats = run true and vm_values, vm_stats = run false in
+  Alcotest.(check (list int)) "same values" vm_values view_values;
+  Alcotest.(check (triple int int int)) "same hits, misses, walks" vm_stats view_stats
 
 let test_interrupt_latency () =
   let eng = Sim.Engine.create () in
@@ -453,6 +653,14 @@ let suites =
       [
         Alcotest.test_case "two-vm sharing" `Quick test_shared_page_two_vms;
         Alcotest.test_case "ept perms respected" `Quick test_shared_page_respects_ept_perms;
+        Alcotest.test_case "frame cache follows revocation" `Quick
+          test_shared_page_cache_revocation;
+        Alcotest.test_case "frame cache follows region assignment" `Quick
+          test_shared_page_cache_region_assignment;
+        Alcotest.test_case "frame cache walks after kill_vm" `Quick
+          test_shared_page_cache_kill_flushes;
+        Alcotest.test_case "frame cache keeps tlb counters" `Quick
+          test_shared_page_cache_counter_parity;
       ] );
     ( "hypervisor.interrupt",
       [

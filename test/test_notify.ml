@@ -51,8 +51,8 @@ let test_double_respond_is_protocol_violation () =
       in
       loop ());
   run_in (M.engine m) (fun () ->
-      ignore (Ch.rpc ch noop_req);
-      ignore (Ch.rpc ch noop_req));
+      ignore (Ch.rpc ch ~trace:0 (fun () -> Bytes.copy noop_req));
+      ignore (Ch.rpc ch ~trace:0 (fun () -> Bytes.copy noop_req)));
   Alcotest.(check int) "both double-completes raised EIO" 2 !eio_seen;
   let s = Ch.stats ch in
   Alcotest.(check int) "violations counted" 2 s.Ch.protocol_violations;
@@ -336,7 +336,7 @@ let test_live_mode_switch_on_channel () =
   run_in eng (fun () ->
       let burst () =
         for _ = 1 to 10 do
-          ignore (Ch.rpc ch noop_req);
+          ignore (Ch.rpc ch ~trace:0 (fun () -> Bytes.copy noop_req));
           incr completed
         done
       in

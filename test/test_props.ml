@@ -159,6 +159,206 @@ let prop_ioctl_num_roundtrip =
       && Oskit.Ioctl_num.nr cmd = nr
       && Oskit.Ioctl_num.size cmd = size)
 
+(* ---- engine ordering: the two-tier event queue against one heap ---- *)
+
+(* The engine's observable order is [(time, seq)] over one queue.  The
+   reference below keeps exactly that — one ordered map, every event
+   in it — and random programs must run identically on both. *)
+module type ENGINE = sig
+  type t
+
+  val create : unit -> t
+  val now : t -> float
+  val at : t -> delay:float -> (unit -> unit) -> unit
+  val spawn : t -> ?name:string -> (unit -> unit) -> unit
+  val run : ?until:float -> t -> unit
+  val wait : float -> unit
+  val suspend : ((unit -> unit) -> unit) -> unit
+end
+
+module Ref_engine : ENGINE = struct
+  module Q = Map.Make (struct
+    type t = float * int
+
+    let compare (t1, s1) (t2, s2) =
+      match Float.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c
+  end)
+
+  type t = { mutable now : float; mutable seq : int; mutable q : (unit -> unit) Q.t }
+
+  type _ Effect.t +=
+    | R_wait : float -> unit Effect.t
+    | R_suspend : ((unit -> unit) -> unit) -> unit Effect.t
+
+  let create () = { now = 0.; seq = 0; q = Q.empty }
+  let now t = t.now
+
+  let push t time f =
+    t.q <- Q.add (time, t.seq) f t.q;
+    t.seq <- t.seq + 1
+
+  let at t ~delay f = push t (t.now +. delay) f
+
+  let handler t =
+    let open Effect.Deep in
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | R_wait d ->
+              Some
+                (fun (k : (a, unit) continuation) ->
+                  push t (t.now +. d) (fun () -> continue k ()))
+          | R_suspend register ->
+              Some
+                (fun (k : (a, unit) continuation) ->
+                  let resumed = ref false in
+                  register (fun () ->
+                      if not !resumed then begin
+                        resumed := true;
+                        push t t.now (fun () -> continue k ())
+                      end))
+          | _ -> None);
+    }
+
+  let spawn t ?name f =
+    ignore name;
+    push t t.now (fun () -> Effect.Deep.match_with f () (handler t))
+
+  let rec run ?until t =
+    match Q.min_binding_opt t.q with
+    | None -> ()
+    | Some ((time, _), _) when (match until with Some l -> time > l | None -> false) ->
+        t.now <- Option.get until
+    | Some ((time, _) as key, f) ->
+        t.q <- Q.remove key t.q;
+        if time > t.now then t.now <- time;
+        f ();
+        run ?until t
+
+  let wait d = Effect.perform (R_wait d)
+  let suspend register = Effect.perform (R_suspend register)
+end
+
+type instr =
+  | Log
+  | Wait of float
+  | At of float  (** a callback that logs and wakes the oldest parked process *)
+  | Spawn of instr list
+  | Park  (** suspend until woken *)
+  | Wake  (** wake the oldest parked process, twice (the second is ignored) *)
+
+type phase = { spawns : instr list list; until : float option }
+
+(* Delays that matter: zero, one that rounds away against a clock at
+   1e6 (1e6 +. 1e-12 = 1e6), ties, and plain future times. *)
+let gen_delay = QCheck.Gen.oneofl [ 0.; 1e-12; 0.5; 1.; 1.; 2.5; 1e6 ]
+
+let gen_prog =
+  let open QCheck.Gen in
+  let rec prog depth =
+    list_size (0 -- 6)
+      (frequency
+         ([
+            (2, return Log);
+            (3, map (fun d -> Wait d) gen_delay);
+            (2, map (fun d -> At d) gen_delay);
+            (2, return Park);
+            (2, return Wake);
+          ]
+         @ if depth = 0 then [] else [ (1, map (fun p -> Spawn p) (prog (depth - 1))) ]))
+  in
+  prog 2
+
+let gen_phases =
+  let open QCheck.Gen in
+  list_size (1 -- 4)
+    (map2
+       (fun spawns until -> { spawns; until })
+       (list_size (0 -- 3) gen_prog)
+       (opt (oneofl [ 0.; 0.5; 1.; 3.; 1e6; 1e6 +. 1.; 2e6 ])))
+
+let rec pp_prog p =
+  "["
+  ^ String.concat ";"
+      (List.map
+         (function
+           | Log -> "log"
+           | Wait d -> Printf.sprintf "wait %g" d
+           | At d -> Printf.sprintf "at %g" d
+           | Spawn p -> "spawn " ^ pp_prog p
+           | Park -> "park"
+           | Wake -> "wake")
+         p)
+  ^ "]"
+
+let pp_phases phases =
+  String.concat " | "
+    (List.map
+       (fun ph ->
+         String.concat " " (List.map pp_prog ph.spawns)
+         ^ match ph.until with Some u -> Printf.sprintf " run~until:%g" u | None -> " run")
+       phases)
+
+(* Run [phases] (spawns from outside, then [run ?until]); returns the
+   log of [(process, step, time)] and the final clock. *)
+module Interp (E : ENGINE) = struct
+  let exec phases =
+    let e = E.create () in
+    let log = ref [] and next_pid = ref 0 in
+    let parked = Queue.create () in
+    let wake () =
+      match Queue.take_opt parked with
+      | Some w ->
+          w ();
+          w ()
+      | None -> ()
+    in
+    let rec start prog =
+      let pid = !next_pid in
+      incr next_pid;
+      E.spawn e (fun () ->
+          List.iteri
+            (fun step instr ->
+              let note () = log := (pid, step, E.now e) :: !log in
+              match instr with
+              | Log -> note ()
+              | Wait d -> E.wait d
+              | At d ->
+                  E.at e ~delay:d (fun () ->
+                      note ();
+                      wake ())
+              | Spawn p -> start p
+              | Park -> E.suspend (fun w -> Queue.add w parked)
+              | Wake -> wake ())
+            prog;
+          log := (pid, -1, E.now e) :: !log)
+    in
+    List.iter
+      (fun ph ->
+        List.iter start ph.spawns;
+        E.run ?until:ph.until e)
+      phases;
+    E.run e;
+    (List.rev !log, E.now e)
+end
+
+module Run_sim = Interp (Sim.Engine)
+module Run_ref = Interp (Ref_engine)
+
+let prop_engine_matches_single_heap =
+  QCheck.Test.make ~name:"two-tier engine runs in single-heap (time, seq) order" ~count:500
+    (QCheck.make ~print:pp_phases
+       QCheck.Gen.(
+         map2
+           (fun head phases ->
+             (* a clock at 1e6 first, so 1e-12 delays round away *)
+             { spawns = [ Wait 1e6 :: head ]; until = None } :: phases)
+           gen_prog gen_phases))
+    (fun phases -> Run_sim.exec phases = Run_ref.exec phases)
+
 let suites =
   [
     ( "properties",
@@ -169,6 +369,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_radix_set_perms_preserves_mapping;
         QCheck_alcotest.to_alcotest prop_allocator_range_disjoint;
         QCheck_alcotest.to_alcotest prop_ioctl_num_roundtrip;
+        QCheck_alcotest.to_alcotest prop_engine_matches_single_heap;
         Alcotest.test_case "netmap wire time" `Quick test_netmap_wire_time;
         Alcotest.test_case "time units" `Quick test_timeunit;
         Alcotest.test_case "engine callback ordering" `Quick test_engine_at_ordering;

@@ -362,14 +362,13 @@ let prop_heap_pops_sorted =
   QCheck.Test.make ~name:"heap pops in (time, seq) order" ~count:200
     QCheck.(list (pair (float_bound_exclusive 1000.) unit))
     (fun entries ->
-      let heap = Sim.Heap.create () in
+      let heap = Sim.Heap.create ~dummy:(nan, -1) in
       List.iteri
         (fun i (t, ()) -> Sim.Heap.push heap ~time:t ~seq:i (t, i))
         entries;
       let rec drain acc =
-        match Sim.Heap.pop heap with
-        | None -> List.rev acc
-        | Some e -> drain (e.Sim.Heap.value :: acc)
+        if Sim.Heap.is_empty heap then List.rev acc
+        else drain (Sim.Heap.pop heap :: acc)
       in
       let out = drain [] in
       let sorted = List.sort compare out in

@@ -125,6 +125,26 @@ let test_kill_vm_flushes_tlb () =
   Alcotest.(check int) "TLB empty after kill" 0
     (Memory.Tlb.entry_count (Vm.tlb guest))
 
+(* Every way an entry can leave the table moves the epoch, which the
+   shared-page frame caches stamp with. *)
+let test_epoch_moves_when_entries_drop () =
+  let tlb = Memory.Tlb.create ~max_entries:2 () in
+  let entry spn =
+    { Memory.Tlb.spn; pt_perms = Memory.Perm.rwx; ept_perms = Memory.Perm.rw; pt_gen = 0;
+      ept_gen = 0 }
+  in
+  let e0 = Memory.Tlb.epoch tlb in
+  Memory.Tlb.install tlb ~key:(Memory.Tlb.gpa_space, 1) (entry 10);
+  Memory.Tlb.install tlb ~key:(Memory.Tlb.gpa_space, 1) (entry 10);
+  Memory.Tlb.install tlb ~key:(Memory.Tlb.gpa_space, 2) (entry 11);
+  Alcotest.(check int) "fills below capacity keep the epoch" e0 (Memory.Tlb.epoch tlb);
+  Memory.Tlb.install tlb ~key:(Memory.Tlb.gpa_space, 3) (entry 12);
+  Alcotest.(check int) "wholesale reset at max_entries moves it" (e0 + 1)
+    (Memory.Tlb.epoch tlb);
+  Alcotest.(check int) "only the new entry survives" 1 (Memory.Tlb.entry_count tlb);
+  Memory.Tlb.flush tlb;
+  Alcotest.(check int) "flush moves it" (e0 + 2) (Memory.Tlb.epoch tlb)
+
 (* ---- hit rate ---- *)
 
 let test_second_copy_all_hits () =
@@ -247,6 +267,8 @@ let suites =
         Alcotest.test_case "stale after teardown" `Quick
           test_stale_after_teardown_vm_mappings;
         Alcotest.test_case "kill_vm flushes" `Quick test_kill_vm_flushes_tlb;
+        Alcotest.test_case "epoch moves when entries drop" `Quick
+          test_epoch_moves_when_entries_drop;
       ] );
     ( "tlb.hit_rate",
       [
