@@ -1281,7 +1281,8 @@ let containment () =
         let t0 = Sim.Engine.now (M.engine m) in
         for _ = 1 to ops do
           match
-            P.decode_response (Paradice.Chan_pool.rpc victim.M.link.CB.pool req)
+            Paradice.Chan_pool.rpc victim.M.link.CB.pool ~trace:0 ~encode:(P.encoded req)
+              ~decode:P.decode_response
           with
           | P.Rok 0 -> incr served
           | _ -> ()

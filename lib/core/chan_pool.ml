@@ -87,18 +87,19 @@ let two_choices t rng =
 let pick_channel t =
   match t.rng with None -> least_loaded t | Some rng -> two_choices t rng
 
-let rpc_encoded ?timeout_us t ~trace encode =
+let rpc ?timeout_us t ~trace ~encode ~decode =
   if t.pending >= t.cap then begin
     t.rejected_busy <- t.rejected_busy + 1;
     raise Busy
   end;
   t.pending <- t.pending + 1;
-  Fun.protect
-    ~finally:(fun () -> t.pending <- t.pending - 1)
-    (fun () -> Channel.rpc ?timeout_us (pick_channel t) ~trace encode)
-
-let rpc ?timeout_us t bytes =
-  rpc_encoded ?timeout_us t ~trace:(Proto.get_trace bytes) (fun () -> Bytes.copy bytes)
+  match Channel.rpc ?timeout_us (pick_channel t) ~trace ~encode ~decode with
+  | r ->
+      t.pending <- t.pending - 1;
+      r
+  | exception e ->
+      t.pending <- t.pending - 1;
+      raise e
 
 type stats = {
   rpcs : int;

@@ -40,14 +40,17 @@ val retire : t -> unit
 val quiescent : t -> bool
 
 (** One request/response exchange over the least-loaded channel's
-    ring.  [timeout_us] overrides the configured RPC deadline (see
-    {!Channel.rpc}). *)
-val rpc : ?timeout_us:float -> t -> bytes -> bytes
-
-(** {!rpc} with a per-publish encoder (see {!Channel.rpc}); the
-    frontend's path, which keeps no descriptor alive across the
-    exchange. *)
-val rpc_encoded : ?timeout_us:float -> t -> trace:int -> (unit -> bytes) -> bytes
+    ring (see {!Channel.rpc}): [encode] fills the request descriptor
+    before each publish and [decode] turns the response into the
+    result.  [timeout_us] overrides the configured RPC deadline.  A
+    caller wanting the raw response passes [~decode:Bytes.copy]. *)
+val rpc :
+  ?timeout_us:float ->
+  t ->
+  trace:int ->
+  encode:(bytes -> unit) ->
+  decode:(bytes -> 'a) ->
+  'a
 
 type stats = {
   rpcs : int;

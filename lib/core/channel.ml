@@ -114,6 +114,10 @@ type t = {
   tracer : Obs.Trace.t; (* from [Config.tracer]; disabled = no-op *)
   chan_uid : int; (* distinguishes this ring's counter series *)
   service_trace : int array; (* backend: trace id drained per slot *)
+  mutable back_copy : bytes;
+      (* backend: private copy of the descriptor being served, one per
+         channel (its one worker serves the ring sequentially), made on
+         the first drain *)
 }
 
 (* Channel ordinal for trace counter-series names ("ring3.occupancy").
@@ -217,6 +221,7 @@ let create ?uid engine ~config ~phys ~guest_vm ~driver_vm =
     tracer = config.Config.tracer;
     chan_uid = uid;
     service_trace = Array.make slots 0;
+    back_copy = Bytes.empty;
   }
 
 let is_dead t = t.dead
@@ -416,14 +421,16 @@ let ring_req_doorbell t ~trace =
    garbles the opcode byte in the shared slot (the backend must
    reject, not crash); the sequence number is stamped first, so even a
    corrupt descriptor's rejection pairs with its attempt.  [encode]
-   yields a fresh descriptor per publish, which is consumed here. *)
+   fills the domain's scratch descriptor after the marshal wait, and
+   nothing waits between that fill and the slot write. *)
 let publish t ~slot ~seq ~trace encode =
   let sp =
     Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Frontend ~cat:"stage"
       ~name:"front:publish" ()
   in
   marshal t;
-  let wire : bytes = encode () in
+  let wire = Proto.scratch () in
+  encode wire;
   Proto.set_seq wire seq;
   if fault_fires t site_corrupt_req then
     Bytes.set wire 0 (Char.chr (Char.code (Bytes.get wire 0) lxor 0xff));
@@ -454,6 +461,144 @@ let fresh_seq t =
   t.next_seq <- t.next_seq + 1;
   t.next_seq
 
+(* Hybrid frontend mirror: poll-watch the response for one window
+   before sleeping behind the response doorbell.  While the watch
+   counter in the control page is non-zero, [respond] skips the
+   interrupt and hands completions over at polling cost. *)
+let unwatch t =
+  let v = Hypervisor.Shared_page.read_u32 t.front_view ~offset:front_watch_off in
+  Hypervisor.Shared_page.write_u32 t.front_view ~offset:front_watch_off (max 0 (v - 1))
+
+let watch t box ~window =
+  let v = Hypervisor.Shared_page.read_u32 t.front_view ~offset:front_watch_off in
+  Hypervisor.Shared_page.write_u32 t.front_view ~offset:front_watch_off (v + 1);
+  match Sim.Mailbox.recv_timeout box ~timeout:window with
+  | got ->
+      unwatch t;
+      got
+  | exception e ->
+      unwatch t;
+      raise e
+
+let block box ~deadline =
+  if deadline > 0. then Sim.Mailbox.recv_timeout box ~timeout:deadline
+  else begin
+    Sim.Mailbox.recv box;
+    Some ()
+  end
+
+(* The exchange's retry loop, on a claimed [slot].  Plain recursive
+   functions rather than local closures: nothing per attempt is
+   allocated for an in-flight op to hold across its waits. *)
+let rec attempt t ~slot ~deadline ~trace ~encode ~decode tries_left =
+  let seq = fresh_seq t in
+  publish t ~slot ~seq ~trace encode;
+  if t.dead then fail_dead t;
+  await t ~slot ~seq ~deadline ~trace ~encode ~decode tries_left
+
+and await t ~slot ~seq ~deadline ~trace ~encode ~decode tries_left =
+  let box = t.resp_box.(slot) in
+  let got =
+    if hybrid_enabled t && not t.dead then begin
+      let window = t.config.Config.hybrid_poll_window_us in
+      let window = if deadline > 0. then min window deadline else window in
+      match watch t box ~window with
+      | Some () as watched -> watched
+      | None ->
+          (* window dry: re-arm the response doorbell and sleep (the
+             full deadline still applies — a dry watch window is
+             polling time, not RPC time) *)
+          if t.dead then Some () else block box ~deadline
+    end
+    else block box ~deadline
+  in
+  if t.dead then fail_dead t;
+  match got with
+  | Some () ->
+      let wake = Sim.Engine.now t.engine in
+      marshal t;
+      (* read into the domain's scratch descriptor and decode it before
+         anything can wait: the caller gets [decode]'s result, never
+         the shared buffer *)
+      let resp = Proto.scratch () in
+      Hypervisor.Shared_page.read_into t.front_view ~offset:(slot_off slot)
+        ~len:Proto.slot_size ~dst:resp ~dst_off:0;
+      if Proto.get_seq resp = seq then begin
+        Obs.Trace.add_complete t.tracer ~trace ~lane:Obs.Trace.Frontend ~cat:"stage"
+          ~name:"front:complete" ~start:wake ();
+        decode resp
+      end
+      else begin
+        (* a late answer to a timed-out earlier attempt: it clobbered
+           our live request, so discard it and republish the same
+           attempt *)
+        t.stale_responses <- t.stale_responses + 1;
+        m_incr t "rpc.stale_responses";
+        publish t ~slot ~seq ~trace encode;
+        if t.dead then fail_dead t;
+        await t ~slot ~seq ~deadline ~trace ~encode ~decode tries_left
+      end
+  | None ->
+      t.timeouts <- t.timeouts + 1;
+      m_incr t "rpc.timeouts";
+      if tries_left > 0 then begin
+        t.retries <- t.retries + 1;
+        m_incr t "rpc.retries";
+        attempt t ~slot ~deadline ~trace ~encode ~decode (tries_left - 1)
+      end
+      else Oskit.Errno.fail Oskit.Errno.ETIMEDOUT "rpc deadline exceeded after retries"
+
+let release_slot t slot ring_sp =
+  if not t.dead then
+    Hypervisor.Shared_page.write_u32 t.front_view ~offset:(state_off slot) st_free;
+  Queue.push slot t.free_slots;
+  Obs.Trace.span_end t.tracer ring_sp;
+  occupancy_sample t;
+  Sim.Semaphore.release t.slot_sem
+
+(* Claim a ring slot, run the exchange on it, free it however the
+   exchange ends. *)
+let exchange ?timeout_us t ~trace ~encode ~decode =
+  let wait_sp =
+    Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Frontend ~cat:"stage"
+      ~name:"front:slot_wait" ()
+  in
+  Sim.Semaphore.acquire t.slot_sem;
+  if t.dead then begin
+    Sim.Semaphore.release t.slot_sem;
+    Obs.Trace.span_end ~status:"error:dead" t.tracer wait_sp;
+    fail_dead t
+  end;
+  let slot = Queue.pop t.free_slots in
+  Obs.Trace.span_arg wait_sp "slot" (float_of_int slot);
+  Obs.Trace.span_end t.tracer wait_sp;
+  occupancy_sample t;
+  let ring_sp =
+    Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Ring ~cat:"ring"
+      ~name:
+        (if Obs.Trace.recording t.tracer ~trace then Printf.sprintf "slot%d" slot else "")
+      ()
+  in
+  let box = t.resp_box.(slot) in
+  (* drop stale wakeups a timed-out previous occupant left behind:
+     correctness comes from sequence pairing, but a buffered token
+     would cost a pointless spurious wake *)
+  while not (Sim.Mailbox.is_empty box) do
+    ignore (Sim.Mailbox.recv box)
+  done;
+  let deadline =
+    match timeout_us with Some d -> d | None -> t.config.Config.rpc_timeout_us
+  in
+  match
+    attempt t ~slot ~deadline ~trace ~encode ~decode (max 0 t.config.Config.rpc_retries)
+  with
+  | r ->
+      release_slot t slot ring_sp;
+      r
+  | exception e ->
+      release_slot t slot ring_sp;
+      raise e
+
 (** Frontend: one request/response exchange over a ring slot.  Blocks
     while the ring is full; up to [Config.ring_slots] callers may be
     inside concurrently.
@@ -470,148 +615,23 @@ let fresh_seq t =
     A channel killed mid-exchange fails with EIO instead: the
     transport itself is gone.
 
-    The descriptor is produced per publish: [encode ()] returns a
-    fresh one (trace id [trace] stamped) that the channel consumes,
-    and a resend calls it again, so no 1 KiB descriptor has to stay
-    alive across the exchange. *)
-let rpc ?timeout_us t ~trace (encode : unit -> bytes) : bytes =
+    No descriptor outlives a step of the exchange: [encode] fills the
+    domain's scratch descriptor right before each publish (a resend
+    calls it again), and the response is read into that scratch and
+    handed to [decode] before anything waits; [rpc] returns [decode]'s
+    result. *)
+let rpc ?timeout_us t ~trace ~encode ~decode =
   if t.dead then fail_dead t;
   t.rpcs <- t.rpcs + 1;
   t.in_flight <- t.in_flight + 1;
   if t.in_flight > t.max_in_flight then t.max_in_flight <- t.in_flight;
-  Fun.protect
-    ~finally:(fun () -> t.in_flight <- t.in_flight - 1)
-    (fun () ->
-      let wait_sp =
-        Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Frontend
-          ~cat:"stage" ~name:"front:slot_wait" ()
-      in
-      Sim.Semaphore.acquire t.slot_sem;
-      if t.dead then begin
-        Sim.Semaphore.release t.slot_sem;
-        Obs.Trace.span_end ~status:"error:dead" t.tracer wait_sp;
-        fail_dead t
-      end;
-      let slot = Queue.pop t.free_slots in
-      Obs.Trace.span_arg wait_sp "slot" (float_of_int slot);
-      Obs.Trace.span_end t.tracer wait_sp;
-      occupancy_sample t;
-      let ring_sp =
-        Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Ring ~cat:"ring"
-          ~name:
-            (if Obs.Trace.recording t.tracer ~trace then Printf.sprintf "slot%d" slot
-             else "")
-          ()
-      in
-      let box = t.resp_box.(slot) in
-      (* drop stale wakeups a timed-out previous occupant left behind:
-         correctness comes from sequence pairing, but a buffered token
-         would cost a pointless spurious wake *)
-      while not (Sim.Mailbox.is_empty box) do
-        ignore (Sim.Mailbox.recv box)
-      done;
-      Fun.protect
-        ~finally:(fun () ->
-          if not t.dead then
-            Hypervisor.Shared_page.write_u32 t.front_view
-              ~offset:(state_off slot) st_free;
-          Queue.push slot t.free_slots;
-          Obs.Trace.span_end t.tracer ring_sp;
-          occupancy_sample t;
-          Sim.Semaphore.release t.slot_sem)
-        (fun () ->
-          let deadline =
-            match timeout_us with
-            | Some d -> d
-            | None -> t.config.Config.rpc_timeout_us
-          in
-          let rec attempt tries_left =
-            let seq = fresh_seq t in
-            publish t ~slot ~seq ~trace encode;
-            if t.dead then fail_dead t;
-            await tries_left seq
-          and await tries_left seq =
-            let block () =
-              if deadline > 0. then
-                Sim.Mailbox.recv_timeout box ~timeout:deadline
-              else Some (Sim.Mailbox.recv box)
-            in
-            let got =
-              if hybrid_enabled t && not t.dead then begin
-                (* hybrid frontend mirror: poll-watch the response for
-                   one window before sleeping behind the response
-                   doorbell.  While the watch counter in the control
-                   page is non-zero, [respond] skips the interrupt and
-                   hands completions over at polling cost. *)
-                let window = t.config.Config.hybrid_poll_window_us in
-                let window =
-                  if deadline > 0. then min window deadline else window
-                in
-                let v =
-                  Hypervisor.Shared_page.read_u32 t.front_view
-                    ~offset:front_watch_off
-                in
-                Hypervisor.Shared_page.write_u32 t.front_view
-                  ~offset:front_watch_off (v + 1);
-                let watched =
-                  Fun.protect
-                    ~finally:(fun () ->
-                      let v =
-                        Hypervisor.Shared_page.read_u32 t.front_view
-                          ~offset:front_watch_off
-                      in
-                      Hypervisor.Shared_page.write_u32 t.front_view
-                        ~offset:front_watch_off (max 0 (v - 1)))
-                    (fun () -> Sim.Mailbox.recv_timeout box ~timeout:window)
-                in
-                match watched with
-                | Some () -> watched
-                | None ->
-                    (* window dry: re-arm the response doorbell and
-                       sleep (the full deadline still applies — a dry
-                       watch window is polling time, not RPC time) *)
-                    if t.dead then Some () else block ()
-              end
-              else block ()
-            in
-            if t.dead then fail_dead t;
-            match got with
-            | Some () ->
-                let wake = Sim.Engine.now t.engine in
-                marshal t;
-                let resp =
-                  Hypervisor.Shared_page.read t.front_view
-                    ~offset:(slot_off slot) ~len:Proto.slot_size
-                in
-                if Proto.get_seq resp = seq then begin
-                  Obs.Trace.add_complete t.tracer ~trace
-                    ~lane:Obs.Trace.Frontend ~cat:"stage"
-                    ~name:"front:complete" ~start:wake ();
-                  resp
-                end
-                else begin
-                  (* a late answer to a timed-out earlier attempt: it
-                     clobbered our live request, so discard it and
-                     republish the same attempt *)
-                  t.stale_responses <- t.stale_responses + 1;
-                  m_incr t "rpc.stale_responses";
-                  publish t ~slot ~seq ~trace encode;
-                  if t.dead then fail_dead t;
-                  await tries_left seq
-                end
-            | None ->
-                t.timeouts <- t.timeouts + 1;
-                m_incr t "rpc.timeouts";
-                if tries_left > 0 then begin
-                  t.retries <- t.retries + 1;
-                  m_incr t "rpc.retries";
-                  attempt (tries_left - 1)
-                end
-                else
-                  Oskit.Errno.fail Oskit.Errno.ETIMEDOUT
-                    "rpc deadline exceeded after retries"
-          in
-          attempt (max 0 t.config.Config.rpc_retries)))
+  match exchange ?timeout_us t ~trace ~encode ~decode with
+  | r ->
+      t.in_flight <- t.in_flight - 1;
+      r
+  | exception e ->
+      t.in_flight <- t.in_flight - 1;
+      raise e
 
 (** Hostile-frontend injection (adversarial tests): write [bytes]
     straight into ring slot [slot] and mark it request-ready, bypassing
@@ -623,110 +643,105 @@ let rpc ?timeout_us t ~trace (encode : unit -> bytes) : bytes =
 let inject_raw t ~slot (bytes : bytes) =
   if slot < 0 || slot >= t.slots then invalid_arg "Channel.inject_raw";
   if not t.dead then begin
-    let wire = Bytes.make Proto.slot_size '\000' in
-    Bytes.blit bytes 0 wire 0 (min (Bytes.length bytes) Proto.slot_size);
+    let wire = Proto.scratch () in
+    Proto.encoded bytes wire;
     Hypervisor.Shared_page.write t.front_view ~offset:(slot_off slot) wire;
     Hypervisor.Shared_page.write_u32 t.front_view ~offset:(state_off slot)
       st_req_ready;
     ring_req_doorbell t ~trace:0
   end
 
+(* First request-ready slot from the fairness cursor on, or -1. *)
+let rec scan_ready t i =
+  if i >= t.slots then -1
+  else
+    let slot = (t.scan_cursor + i) mod t.slots in
+    if Hypervisor.Shared_page.read_u32 t.back_view ~offset:(state_off slot) = st_req_ready
+    then slot
+    else scan_ready t (i + 1)
+
+(* The drain loop, as top-level functions so that a worker parked
+   waiting for work holds no closures. *)
+let rec drain t =
+  (* the drain span measures the scan-and-claim work itself, so its
+     start is stamped at the point the scan actually begins — not at
+     function entry, and never inside a hybrid poll window's wait,
+     which would inflate drain spans under load *)
+  let start = Sim.Engine.now t.engine in
+  let slot = scan_ready t 0 in
+  if slot >= 0 then begin
+    t.scan_cursor <- (slot + 1) mod t.slots;
+    Hypervisor.Shared_page.write_u32 t.back_view ~offset:(state_off slot) st_in_service;
+    t.service_active.(slot) <- true;
+    t.in_service <- t.in_service + 1;
+    marshal t;
+    if Bytes.length t.back_copy = 0 then t.back_copy <- Bytes.create Proto.slot_size;
+    let bytes = t.back_copy in
+    Hypervisor.Shared_page.read_into t.back_view ~offset:(slot_off slot) ~len:Proto.slot_size
+      ~dst:bytes ~dst_off:0;
+    t.service_seq.(slot) <- Proto.get_seq bytes;
+    let trace = Proto.get_trace bytes in
+    t.service_trace.(slot) <- trace;
+    (* the drain's trace id is only known once the descriptor is read,
+       so the span is recorded after the fact *)
+    Obs.Trace.add_complete t.tracer ~trace ~lane:Obs.Trace.Backend ~cat:"stage"
+      ~name:"back:drain" ~start ();
+    Some (slot, bytes)
+  end
+  else if hybrid_enabled t && t.back_poll_budget_left > 0. then begin
+    (* hybrid: the ring just went dry, but more work may be a
+       microsecond away.  Stay awake inside a bounded poll window —
+       publishes hand over at polling cost instead of raising an
+       interrupt — and only re-arm doorbells once a whole window passes
+       with nothing arriving (or the episode's dry-poll budget runs
+       out). *)
+    let window = min t.config.Config.hybrid_poll_window_us t.back_poll_budget_left in
+    t.back_polling <- true;
+    m_incr t "hybrid.poll_windows";
+    let t0 = Sim.Engine.now t.engine in
+    let got = Sim.Mailbox.recv_timeout t.req_rx ~timeout:window in
+    t.back_polling <- false;
+    t.back_poll_budget_left <- t.back_poll_budget_left -. (Sim.Engine.now t.engine -. t0);
+    match got with
+    | Some () -> if t.dead then None else drain t
+    | None -> if t.dead then None else sleep t
+  end
+  else sleep t
+
+and sleep t =
+  (* ring drained (and any poll window dry): go back to sleep.  No
+     wakeup can be lost — there is no suspension point between the
+     empty scan, clearing [back_active] and blocking, so any publish
+     after this point sees [back_active = false] and sends a doorbell;
+     a poll pickup scheduled during the final window is still in
+     flight and lands in the mailbox. *)
+  t.back_active <- false;
+  let () = Sim.Mailbox.recv t.req_rx in
+  (* a real doorbell wakeup starts a fresh hybrid episode *)
+  t.back_poll_budget_left <-
+    (if hybrid_enabled t then t.config.Config.hybrid_poll_budget_us else 0.);
+  if t.dead then None else drain t
+
 (** Backend: block until a descriptor is ready and claim it; [None]
     once the channel is dead (the worker should exit).  One wakeup
     drains many: after serving, the worker's next call re-scans the
     ring head and picks up everything published meanwhile without any
-    further interrupt. *)
-let next_request t : (int * bytes) option =
-  if t.dead then None
-  else begin
-    let scan () =
-      let rec go i =
-        if i >= t.slots then None
-        else
-          let slot = (t.scan_cursor + i) mod t.slots in
-          if
-            Hypervisor.Shared_page.read_u32 t.back_view ~offset:(state_off slot)
-            = st_req_ready
-          then Some slot
-          else go (i + 1)
-      in
-      go 0
-    in
-    let start = ref 0. in
-    let rec next () =
-      (* the drain span measures the scan-and-claim work itself, so its
-         start is stamped at the point the scan actually begins — not
-         at function entry, and never inside a hybrid poll window's
-         wait, which would inflate drain spans under load *)
-      start := Sim.Engine.now t.engine;
-      match scan () with
-      | Some slot ->
-          t.scan_cursor <- (slot + 1) mod t.slots;
-          Hypervisor.Shared_page.write_u32 t.back_view ~offset:(state_off slot)
-            st_in_service;
-          t.service_active.(slot) <- true;
-          t.in_service <- t.in_service + 1;
-          marshal t;
-          let bytes =
-            Hypervisor.Shared_page.read t.back_view ~offset:(slot_off slot)
-              ~len:Proto.slot_size
-          in
-          t.service_seq.(slot) <- Proto.get_seq bytes;
-          let trace = Proto.get_trace bytes in
-          t.service_trace.(slot) <- trace;
-          (* the drain's trace id is only known once the descriptor is
-             read, so the span is recorded after the fact *)
-          Obs.Trace.add_complete t.tracer ~trace ~lane:Obs.Trace.Backend
-            ~cat:"stage" ~name:"back:drain" ~start:!start ();
-          Some (slot, bytes)
-      | None ->
-          if hybrid_enabled t && t.back_poll_budget_left > 0. then begin
-            (* hybrid: the ring just went dry, but more work may be a
-               microsecond away.  Stay awake inside a bounded poll
-               window — publishes hand over at polling cost instead of
-               raising an interrupt — and only re-arm doorbells once a
-               whole window passes with nothing arriving (or the
-               episode's dry-poll budget runs out). *)
-            let window =
-              min t.config.Config.hybrid_poll_window_us t.back_poll_budget_left
-            in
-            t.back_polling <- true;
-            m_incr t "hybrid.poll_windows";
-            let t0 = Sim.Engine.now t.engine in
-            let got = Sim.Mailbox.recv_timeout t.req_rx ~timeout:window in
-            t.back_polling <- false;
-            t.back_poll_budget_left <-
-              t.back_poll_budget_left -. (Sim.Engine.now t.engine -. t0);
-            match got with
-            | Some () -> if t.dead then None else next ()
-            | None -> if t.dead then None else sleep ()
-          end
-          else sleep ()
-    and sleep () =
-      (* ring drained (and any poll window dry): go back to sleep.  No
-         wakeup can be lost — there is no suspension point between the
-         empty scan, clearing [back_active] and blocking, so any
-         publish after this point sees [back_active = false] and sends
-         a doorbell; a poll pickup scheduled during the final window is
-         still in flight and lands in the mailbox. *)
-      t.back_active <- false;
-      let () = Sim.Mailbox.recv t.req_rx in
-      (* a real doorbell wakeup starts a fresh hybrid episode *)
-      t.back_poll_budget_left <-
-        (if hybrid_enabled t then t.config.Config.hybrid_poll_budget_us else 0.);
-      if t.dead then None else next ()
-    in
-    next ()
-  end
+    further interrupt.
 
-(** Backend: complete the descriptor claimed from slot [slot], echoing
-    the sequence number it was drained with.  The response interrupt
-    coalesces: if one is already in flight it covers this response
-    too.  Dropped silently on a dead channel (a crashed driver VM
-    answers nobody); the response-drop fault loses the interrupt leg
-    (the descriptor stays ready and would ride a later response's leg
-    — or the frontend deadline recovers). *)
-let respond t ~slot (resp_bytes : bytes) =
+    The descriptor is copied out of the shared slot into the channel's
+    private buffer, so a guest rewriting its slot mid-service cannot
+    change what the driver sees (no double fetch).  The buffer is
+    reused by the next call: the worker is done with it by then. *)
+let next_request t : (int * bytes) option = if t.dead then None else drain t
+
+(** Backend: complete the descriptor claimed from slot [slot] with
+    [resp], echoing the sequence number it was drained with.  The
+    response interrupt coalesces: if one is already in flight it covers
+    this response too.  Dropped silently on a dead channel (a crashed
+    driver VM answers nobody); the response-drop fault loses the
+    interrupt leg (the descriptor stays ready and would ride a later
+    response's leg — or the frontend deadline recovers). *)
+let respond t ~slot (resp : Proto.response) =
   if not t.dead then begin
     if slot < 0 || slot >= t.slots then invalid_arg "Channel.respond";
     (* A respond must pair with an outstanding claim on the slot.  The
@@ -751,7 +766,10 @@ let respond t ~slot (resp_bytes : bytes) =
         ~name:"back:respond" ()
     in
     marshal t;
-    let wire = Bytes.copy resp_bytes in
+    (* encoded after the marshal wait into the domain's scratch, then
+       stamped and written with no wait in between *)
+    let wire = Proto.scratch () in
+    Proto.encode_response_into wire resp;
     Proto.set_seq wire t.service_seq.(slot);
     Proto.set_trace wire trace;
     Hypervisor.Shared_page.write t.back_view ~offset:(slot_off slot) wire;

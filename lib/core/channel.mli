@@ -72,11 +72,19 @@ val quiescent : t -> bool
     operations under a deadline).  Responses carrying a stale sequence
     number (late answers to timed-out attempts) are discarded.
 
-    The request descriptor is produced per publish: [encode ()] returns
-    a fresh descriptor (trace id [trace] already stamped) that the
-    channel consumes, and a resend calls it again, so the caller keeps
-    no 1 KiB descriptor alive across the exchange. *)
-val rpc : ?timeout_us:float -> t -> trace:int -> (unit -> bytes) -> bytes
+    No descriptor outlives a step of the exchange: [encode] fills the
+    calling domain's scratch descriptor ({!Proto.scratch}) right before
+    each publish — a resend calls it again — and the response is read
+    into that scratch and passed to [decode] before anything waits.
+    [rpc] returns [decode]'s result; [decode] must not keep the buffer
+    it is given (copy it if the raw bytes are wanted). *)
+val rpc :
+  ?timeout_us:float ->
+  t ->
+  trace:int ->
+  encode:(bytes -> unit) ->
+  decode:(bytes -> 'a) ->
+  'a
 
 (** Hostile-frontend injection (adversarial tests): write raw bytes
     into a ring slot and mark it request-ready, bypassing the RPC
@@ -88,17 +96,20 @@ val inject_raw : t -> slot:int -> bytes -> unit
 (** Backend: block until a descriptor is ready and claim it ([None] =
     channel dead, the worker should exit).  One doorbell wakeup drains
     many descriptors: successive calls re-scan the ring head before
-    sleeping. *)
+    sleeping.  The bytes are the channel's private copy of the slot —
+    a guest rewriting the slot afterwards cannot change them — and are
+    overwritten by the next call. *)
 val next_request : t -> (int * bytes) option
 
-(** Complete the descriptor claimed from [slot] (dropped on a dead
-    channel); the response interrupt coalesces with any already in
-    flight (and is skipped entirely, in favour of a polling-cost
-    handoff, while the frontend waiter is poll-watching).  A respond on
+(** Complete the descriptor claimed from [slot] with a response,
+    encoded after the marshal wait (dropped on a dead channel); the
+    response interrupt coalesces with any already in flight (and is
+    skipped entirely, in favour of a polling-cost handoff, while the
+    frontend waiter is poll-watching).  A respond on
     a slot that is not in service — double-complete, never claimed, or
     a guest rewriting the state word — is a counted protocol violation
     and raises EIO instead of corrupting ring accounting. *)
-val respond : t -> slot:int -> bytes -> unit
+val respond : t -> slot:int -> Proto.response -> unit
 
 (** Backend: asynchronous notification (collapses while pending, like
     SIGIO).  The shared event counter is a u32 and wraps at 2^32.

@@ -605,12 +605,15 @@ let connect t ~guest_vm =
             | None -> () (* channel dead: worker exits *)
             | Some _ when t.killed -> ()
             | Some (slot, bytes) ->
-                let resp =
-                  Obs.Trace.with_span t.config.Config.tracer
+                (* [serve_one] turns every failure into an error
+                   response, so the span needs no error arm *)
+                let sp =
+                  Obs.Trace.span_begin t.config.Config.tracer
                     ~trace:(Proto.get_trace bytes) ~lane:Obs.Trace.Backend
-                    ~cat:"stage" ~name:"back:dispatch" (fun () ->
-                      serve_one t link worker bytes)
+                    ~cat:"stage" ~name:"back:dispatch" ()
                 in
+                let resp = serve_one t link worker bytes in
+                Obs.Trace.span_end t.config.Config.tracer sp;
                 (* "back.wedge": the worker hangs forever between
                    executing the operation and answering — a stuck
                    driver thread.  Only an RPC deadline recovers the
@@ -627,7 +630,7 @@ let connect t ~guest_vm =
                      the control page under the backend's feet can
                      cause it): score the guest and drop the response
                      instead of letting the EIO kill the worker. *)
-                  try Channel.respond channel ~slot (Proto.encode_response resp)
+                  try Channel.respond channel ~slot resp
                   with Errno.Unix_error (Errno.EIO, _) ->
                     note_misbehavior t link worker score_rejected
                 end;

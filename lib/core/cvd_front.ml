@@ -157,23 +157,23 @@ let resume ?pool t =
    resuming, a parked operation fails EIO (the op was possibly
    executed: EIO, not ENODEV, exactly as a mid-operation transport
    death). *)
-let rec pool_rpc t ~parked ~trace encode =
+let rec pool_rpc t ~parked ~trace ~encode ~decode =
   while t.paused do
     Wait_queue.sleep t.resume_wq
   done;
   if t.session = Faulted then
     if parked then Errno.fail Errno.EIO "driver VM died under a parked operation"
     else Errno.fail Errno.ENODEV "driver VM session faulted";
-  try Chan_pool.rpc_encoded t.pool ~trace encode
+  try Chan_pool.rpc t.pool ~trace ~encode ~decode
   with Channel.Retired ->
     t.ops_parked <- t.ops_parked + 1;
-    pool_rpc t ~parked:true ~trace encode
+    pool_rpc t ~parked:true ~trace ~encode ~decode
 
 (* The watchdog: ping the backend with a no-op under a deadline; after
    [heartbeat_miss_limit] consecutive misses (or a transport EIO,
    which is definitive) declare the driver VM dead.  Idles while the
    session is faulted and resumes once reattached. *)
-let heartbeat_request = Proto.encode_request ~grant_ref:0 ~pid:0 Proto.Rnoop
+let heartbeat_encode buf = Proto.encode_request_into buf ~grant_ref:0 ~pid:0 Proto.Rnoop
 
 let spawn_watchdog t =
   let interval = t.config.Config.heartbeat_interval_us in
@@ -191,8 +191,11 @@ let spawn_watchdog t =
                      a miss against a healthy driver VM *)
                   loop 0
               | Healthy -> (
-                  match Chan_pool.rpc ~timeout_us:interval t.pool heartbeat_request with
-                  | (_ : bytes) -> loop 0
+                  match
+                    Chan_pool.rpc ~timeout_us:interval t.pool ~trace:0
+                      ~encode:heartbeat_encode ~decode:Proto.decode_response
+                  with
+                  | (_ : Proto.response) -> loop 0
                   | exception Channel.Retired ->
                       (* transport swapped under the ping: not a fault *)
                       loop 0
@@ -293,8 +296,45 @@ let release t grant_ref =
 let errno_of_code code =
   match Errno.of_code code with Some e -> e | None -> Errno.EIO
 
+(* The exchange proper, under a declared grant.  An oversized request
+   (e.g. an over-long open path) fails before a ring slot is taken:
+   the derived encoder refuses what the decoder would reject instead
+   of corrupting adjacent slot words. *)
+let exchange t (task : Defs.task) ~grant_ref ~trace req =
+  (try Proto.check_request req
+   with Proto.Oversized { field; length; limit } ->
+     Errno.fail Errno.ENAMETOOLONG
+       (Printf.sprintf "%s: %d bytes exceeds wire limit %d" field length limit));
+  let encode buf =
+    Proto.encode_request_into buf ~grant_ref ~pid:task.Defs.pid req;
+    Proto.set_trace buf trace
+  in
+  try pool_rpc t ~parked:false ~trace ~encode ~decode:Proto.decode_response with
+  | Chan_pool.Busy -> Errno.fail Errno.EBUSY "per-guest operation cap reached"
+  | Errno.Unix_error (Errno.EIO, _) as e ->
+      fault_session t ~reason:"transport failure mid-operation";
+      raise e
+
+let declare_and_exchange t (task : Defs.task) ~ops ~trace req =
+  let tracer = t.config.Config.tracer in
+  let decl_sp =
+    Obs.Trace.span_begin tracer ~trace ~lane:Obs.Trace.Frontend ~cat:"stage"
+      ~name:"front:declare" ()
+  in
+  Hypervisor.Hyp.register_process t.hyp t.guest_vm ~pid:task.Defs.pid ~pt:task.Defs.pt;
+  let grant_ref = declare t ops in
+  Obs.Trace.span_end tracer decl_sp;
+  (* after a transport death the table was already revoked wholesale *)
+  match exchange t task ~grant_ref ~trace req with
+  | resp ->
+      if t.session = Healthy then release t grant_ref;
+      resp
+  | exception e ->
+      if t.session = Healthy then release t grant_ref;
+      raise e
+
 (** Forward one operation: declare, register the issuing process with
-    the hypervisor, rpc, release, decode.
+    the hypervisor, rpc and decode, release.
 
     Error paths are kept distinct: a {e decoded} [Rerr] is the remote
     driver failing an operation (normal; surfaced to the caller); a
@@ -312,59 +352,7 @@ let forward t (task : Defs.task) ~ops req : Proto.response =
     Obs.Trace.span_begin tracer ~trace ~lane:Obs.Trace.Frontend ~cat:"op"
       ~name:(Proto.request_name req) ()
   in
-  let run () =
-    let decl_sp =
-      Obs.Trace.span_begin tracer ~trace ~lane:Obs.Trace.Frontend ~cat:"stage"
-        ~name:"front:declare" ()
-    in
-    Hypervisor.Hyp.register_process t.hyp t.guest_vm ~pid:task.Defs.pid
-      ~pt:task.Defs.pt;
-    let grant_ref = declare t ops in
-    Obs.Trace.span_end tracer decl_sp;
-    Fun.protect
-      ~finally:(fun () ->
-        (* after a transport death the table was already revoked wholesale *)
-        if t.session = Healthy then release t grant_ref)
-      (fun () ->
-        let encode () =
-          let b = Proto.encode_request ~grant_ref ~pid:task.Defs.pid req in
-          Proto.set_trace b trace;
-          b
-        in
-        (* Encoded once up front, so an oversized request fails here;
-           that descriptor feeds the first publish, and a resend or a
-           replay after a handoff encodes afresh — no 1 KiB
-           descriptor stays alive across the exchange. *)
-        let first =
-          ref
-            (Some
-               (try encode ()
-                with Proto.Oversized { field; length; limit } ->
-                  (* the derived encoder refuses what the decoder would
-                     reject (e.g. an over-long open path) instead of
-                     corrupting adjacent slot words *)
-                  Errno.fail Errno.ENAMETOOLONG
-                    (Printf.sprintf "%s: %d bytes exceeds wire limit %d" field
-                       length limit)))
-        in
-        let next () =
-          match !first with
-          | Some b ->
-              first := None;
-              b
-          | None -> encode ()
-        in
-        let resp_bytes =
-          try pool_rpc t ~parked:false ~trace next with
-          | Chan_pool.Busy ->
-              Errno.fail Errno.EBUSY "per-guest operation cap reached"
-          | Errno.Unix_error (Errno.EIO, _) as e ->
-              fault_session t ~reason:"transport failure mid-operation";
-              raise e
-        in
-        Proto.decode_response resp_bytes)
-  in
-  match run () with
+  match declare_and_exchange t task ~ops ~trace req with
   | resp ->
       Obs.Trace.span_end tracer op_sp;
       resp

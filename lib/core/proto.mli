@@ -74,6 +74,28 @@ val resp_specs : response Wire_spec.spec list
 
 val encode_request : grant_ref:int -> pid:int -> request -> bytes
 
+(** {!encode_request} into [b], which must be one slot long: [b] is
+    zero-filled first, so it ends up byte-identical to a fresh
+    descriptor whatever it held before. *)
+val encode_request_into : bytes -> grant_ref:int -> pid:int -> request -> unit
+
+(** [encoded wire] is an encoder for an already-encoded descriptor:
+    it fills a slot-sized buffer with [wire], zero-padded (and cut) to
+    one slot. *)
+val encoded : bytes -> bytes -> unit
+
+(** Raise whatever {!encode_request} would raise on [req] ({!Oversized}
+    for an over-long path, [Invalid_argument] for a bad batch) without
+    keeping a descriptor.  Fixed-size forms cannot fail and cost
+    nothing. *)
+val check_request : request -> unit
+
+(** A slot-sized scratch buffer private to the calling domain.  Its
+    contents are valid only until the caller's next suspension or next
+    use of the scratch, so a fill and its use must not be separated by
+    a wait. *)
+val scratch : unit -> bytes
+
 (** Returns [(request, grant_ref, pid)]; raises {!Malformed} on
     garbage (a malicious frontend cannot crash the backend). *)
 val decode_request : bytes -> request * int * int
@@ -112,6 +134,9 @@ val max_vfd : int
 val valid_path : string -> bool
 
 val encode_response : response -> bytes
+
+(** {!encode_response} into a one-slot buffer, zero-filled first. *)
+val encode_response_into : bytes -> response -> unit
 val decode_response : bytes -> response
 val op_kind_of_request : request -> Oskit.Os_flavor.op_kind
 val request_name : request -> string

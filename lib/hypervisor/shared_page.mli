@@ -38,6 +38,11 @@ val hypervisor_view : t -> view
     CPU access would. *)
 
 val read : view -> offset:int -> len:int -> bytes
+
+(** [read] into [dst] at [dst_off] instead of a fresh buffer;
+    [Invalid_argument] when [dst] cannot hold [len] bytes there. *)
+val read_into : view -> offset:int -> len:int -> dst:bytes -> dst_off:int -> unit
+
 val write : view -> offset:int -> bytes -> unit
 val read_u32 : view -> offset:int -> int
 val write_u32 : view -> offset:int -> int -> unit

@@ -4,79 +4,120 @@
     ordering at equal timestamps deterministic (FIFO in insertion
     order), which the whole simulation's reproducibility rests on.
 
-    Entries live in parallel arrays — unboxed times, sequence numbers
-    and values — so a push allocates nothing once the arrays have
-    grown.  A value slot past the live size holds [dummy], never a
-    stale value: the engine's values are closures over continuations,
-    and a popped one must not be kept alive. *)
+    Values never move.  Each one is parked in a slot of [values] for
+    its whole stay, and the heap proper orders only unboxed keys:
+    position [i] holds a time in [times], a sequence number in [seqs]
+    and the index of its value's slot in [slot_of].  Sifting therefore
+    writes floats and ints only — no [caml_modify], no write barrier —
+    and moves each entry once per level (a hole slides down or up and
+    the entry is written where it stops), instead of swapping.
+
+    [slot_of] is a permutation of all slots: positions below [size]
+    name the live slots, positions from [size] on the free ones.  A
+    push takes the free slot at position [size]; a pop resets its slot
+    to [dummy] at once — the engine's values are closures over
+    continuations, and a popped one must not be kept alive — and
+    leaves it at the position the heap just vacated. *)
 
 type 'a t = {
-  mutable times : Float.Array.t;
-  mutable seqs : int array;
-  mutable values : 'a array;
+  mutable times : Float.Array.t; (* by heap position *)
+  mutable seqs : int array; (* by heap position *)
+  mutable slot_of : int array; (* by heap position: slot of its value *)
+  mutable values : 'a array; (* by slot; [dummy] when free *)
   mutable size : int;
   dummy : 'a;
 }
 
 let create ~dummy =
-  { times = Float.Array.create 0; seqs = [||]; values = [||]; size = 0; dummy }
+  { times = Float.Array.create 0; seqs = [||]; slot_of = [||]; values = [||]; size = 0; dummy }
 
 let length t = t.size
 let is_empty t = t.size = 0
 
-let[@inline] before t i j =
-  let ti = Float.Array.unsafe_get t.times i and tj = Float.Array.unsafe_get t.times j in
-  ti < tj || (ti = tj && Array.unsafe_get t.seqs i < Array.unsafe_get t.seqs j)
-
-let swap t i j =
-  let ti = Float.Array.unsafe_get t.times i in
-  Float.Array.unsafe_set t.times i (Float.Array.unsafe_get t.times j);
-  Float.Array.unsafe_set t.times j ti;
-  let si = Array.unsafe_get t.seqs i in
-  Array.unsafe_set t.seqs i (Array.unsafe_get t.seqs j);
-  Array.unsafe_set t.seqs j si;
-  let vi = Array.unsafe_get t.values i in
-  Array.unsafe_set t.values i (Array.unsafe_get t.values j);
-  Array.unsafe_set t.values j vi
-
+(* Only called with every slot live ([size] = capacity), so the new
+   positions get the new slots. *)
 let grow t =
-  let capacity = max 16 (2 * t.size) in
+  let cap = Array.length t.values in
+  let capacity = max 16 (2 * cap) in
   let times = Float.Array.create capacity in
-  Float.Array.blit t.times 0 times 0 t.size;
+  Float.Array.blit t.times 0 times 0 cap;
   let seqs = Array.make capacity 0 in
-  Array.blit t.seqs 0 seqs 0 t.size;
+  Array.blit t.seqs 0 seqs 0 cap;
+  let slot_of = Array.init capacity Fun.id in
+  Array.blit t.slot_of 0 slot_of 0 cap;
   let values = Array.make capacity t.dummy in
-  Array.blit t.values 0 values 0 t.size;
+  Array.blit t.values 0 values 0 cap;
   t.times <- times;
   t.seqs <- seqs;
+  t.slot_of <- slot_of;
   t.values <- values
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t i parent then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = if left < t.size && before t left i then left else i in
-  let smallest = if right < t.size && before t right smallest then right else smallest in
-  if smallest <> i then begin
-    swap t i smallest;
-    sift_down t smallest
-  end
-
-let push t ~time ~seq value =
-  if t.size = Array.length t.values then grow t;
-  let i = t.size in
+let[@inline] set_entry t i time seq slot =
   Float.Array.unsafe_set t.times i time;
   Array.unsafe_set t.seqs i seq;
-  Array.unsafe_set t.values i value;
+  Array.unsafe_set t.slot_of i slot
+
+(* Sift the entry at [i] up: a hole slides up from [i] and the entry
+   is written once, where it stops.  The entry's key is read here, not
+   passed in, so no float crosses a call boxed. *)
+let sift_up t i =
+  let time = Float.Array.unsafe_get t.times i
+  and seq = Array.unsafe_get t.seqs i
+  and slot = Array.unsafe_get t.slot_of i in
+  let i = ref i in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let tp = Float.Array.unsafe_get t.times parent in
+    if time < tp || (time = tp && seq < Array.unsafe_get t.seqs parent) then begin
+      set_entry t !i tp (Array.unsafe_get t.seqs parent) (Array.unsafe_get t.slot_of parent);
+      i := parent
+    end
+    else continue := false
+  done;
+  set_entry t !i time seq slot
+
+(* Sift the entry at [i] down, the same way. *)
+let sift_down t i =
+  let time = Float.Array.unsafe_get t.times i
+  and seq = Array.unsafe_get t.seqs i
+  and slot = Array.unsafe_get t.slot_of i in
+  let size = t.size in
+  let i = ref i in
+  let continue = ref true in
+  while !continue do
+    let left = (2 * !i) + 1 in
+    if left >= size then continue := false
+    else begin
+      let right = left + 1 in
+      let child =
+        if right < size then begin
+          let tl = Float.Array.unsafe_get t.times left
+          and tr = Float.Array.unsafe_get t.times right in
+          if tr < tl || (tr = tl && Array.unsafe_get t.seqs right < Array.unsafe_get t.seqs left)
+          then right
+          else left
+        end
+        else left
+      in
+      let tc = Float.Array.unsafe_get t.times child and sc = Array.unsafe_get t.seqs child in
+      if tc < time || (tc = time && sc < seq) then begin
+        set_entry t !i tc sc (Array.unsafe_get t.slot_of child);
+        i := child
+      end
+      else continue := false
+    end
+  done;
+  set_entry t !i time seq slot
+
+let push t ~time ~seq value =
+  let i = t.size in
+  if i = Array.length t.values then grow t;
+  let slot = Array.unsafe_get t.slot_of i in
+  Array.unsafe_set t.values slot value;
+  set_entry t i time seq slot;
   t.size <- i + 1;
-  sift_up t i
+  if i > 0 then sift_up t i
 
 let min_time t =
   if t.size = 0 then invalid_arg "Heap.min_time: empty";
@@ -84,14 +125,17 @@ let min_time t =
 
 let pop t =
   if t.size = 0 then invalid_arg "Heap.pop: empty";
-  let top = Array.unsafe_get t.values 0 in
+  let slot = Array.unsafe_get t.slot_of 0 in
+  let top = Array.unsafe_get t.values slot in
+  Array.unsafe_set t.values slot t.dummy;
   let last = t.size - 1 in
   t.size <- last;
   if last > 0 then begin
-    Float.Array.unsafe_set t.times 0 (Float.Array.unsafe_get t.times last);
-    Array.unsafe_set t.seqs 0 (Array.unsafe_get t.seqs last);
-    Array.unsafe_set t.values 0 (Array.unsafe_get t.values last)
+    set_entry t 0
+      (Float.Array.unsafe_get t.times last)
+      (Array.unsafe_get t.seqs last)
+      (Array.unsafe_get t.slot_of last);
+    sift_down t 0
   end;
-  Array.unsafe_set t.values last t.dummy;
-  if last > 1 then sift_down t 0;
+  Array.unsafe_set t.slot_of last slot;
   top

@@ -1,7 +1,9 @@
 (** Binary min-heap for the event queue, keyed by [(time, seq)] so
-    same-time events pop in insertion order (determinism).  Stored as
-    parallel arrays: a push allocates nothing once grown, and no slot
-    past the live size keeps a popped value reachable. *)
+    same-time events pop in insertion order (determinism).  Values sit
+    in slots that never move while the heap orders only unboxed keys,
+    so sifting runs without a write barrier; a push allocates nothing
+    once grown, and a popped value's slot is cleared at once, so the
+    heap never keeps it reachable. *)
 
 type 'a t
 

@@ -255,7 +255,8 @@ let through_ring_attack seed =
       let app = M.spawn_app m victim.M.kernel ~name:"victim" in
       let req = P.encode_request ~grant_ref:0 ~pid:app.Defs.pid P.Rnoop in
       for _ = 1 to victim_noops do
-        match P.decode_response (Paradice.Chan_pool.rpc victim.M.link.CB.pool req)
+        match Paradice.Chan_pool.rpc victim.M.link.CB.pool ~trace:0 ~encode:(P.encoded req)
+                ~decode:P.decode_response
         with
         | P.Rok 0 -> incr vic_ok
         | _ -> ()
@@ -733,7 +734,8 @@ let victim_elapsed ~attack =
       let req = P.encode_request ~grant_ref:0 ~pid:app.Defs.pid P.Rnoop in
       let t0 = Sim.Engine.now (M.engine m) in
       for _ = 1 to victim_noops do
-        match P.decode_response (Paradice.Chan_pool.rpc victim.M.link.CB.pool req)
+        match Paradice.Chan_pool.rpc victim.M.link.CB.pool ~trace:0 ~encode:(P.encoded req)
+                ~decode:P.decode_response
         with
         | P.Rok 0 -> incr vic_ok
         | _ -> ()

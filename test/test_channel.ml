@@ -16,7 +16,9 @@ let run_in eng f =
   Sim.Engine.run eng;
   Option.get !r
 
-let raw_rpc g bytes = Paradice.Chan_pool.rpc g.M.link.Paradice.Cvd_back.pool bytes
+let raw_rpc g bytes =
+  Paradice.Chan_pool.rpc g.M.link.Paradice.Cvd_back.pool ~trace:0
+    ~encode:(Paradice.Proto.encoded bytes) ~decode:Bytes.copy
 
 let test_malformed_request_rejected () =
   (* garbage opcode straight onto the wire *)
@@ -187,13 +189,13 @@ let echo_server ch eng ~first_delay_us =
       let rec loop () =
         match Ch.next_request ch with
         | None -> ()
-        | Some (slot, req) ->
+        | Some (slot, _) ->
             if !first then begin
               first := false;
               if first_delay_us > 0. then Sim.Engine.wait first_delay_us
             end;
             incr executions;
-            Ch.respond ch ~slot req;
+            Ch.respond ch ~slot (Paradice.Proto.Rok 0);
             loop ()
       in
       loop ());
@@ -212,7 +214,7 @@ let test_stale_response_discarded () =
   in
   let ch = raw_channel ~config (m, g) in
   let executions = echo_server ch (M.engine m) ~first_delay_us:600. in
-  run_in (M.engine m) (fun () -> ignore (Ch.rpc ch ~trace:0 (fun () -> Bytes.copy noop_req)));
+  run_in (M.engine m) (fun () -> Ch.rpc ch ~trace:0 ~encode:(Paradice.Proto.encoded noop_req) ~decode:ignore);
   let s = Ch.stats ch in
   Alcotest.(check int) "first attempt timed out" 1 s.Ch.timeouts;
   Alcotest.(check int) "resent once" 1 s.Ch.retries;
@@ -237,7 +239,7 @@ let test_dropped_response_leg_recovered () =
   in
   let ch = raw_channel ~config (m, g) in
   let executions = echo_server ch (M.engine m) ~first_delay_us:0. in
-  run_in (M.engine m) (fun () -> ignore (Ch.rpc ch ~trace:0 (fun () -> Bytes.copy noop_req)));
+  run_in (M.engine m) (fun () -> Ch.rpc ch ~trace:0 ~encode:(Paradice.Proto.encoded noop_req) ~decode:ignore);
   let s = Ch.stats ch in
   Alcotest.(check int) "deadline recovered the lost completion" 1 s.Ch.timeouts;
   Alcotest.(check int) "resent once" 1 s.Ch.retries;
@@ -451,6 +453,213 @@ let test_two_choices_dispatch () =
   Alcotest.(check bool) "ops spread beyond ring 0" true
     (List.length (List.filter (fun n -> n > 0) a) >= 2)
 
+(* ---- descriptor-buffer ownership ----
+
+   The request and response descriptors are filled in a domain-local
+   scratch buffer and the backend serves from a per-channel private
+   copy.  These tests pin each owner down: concurrent exchanges never
+   see one another's bytes, a stale-response republish re-encodes the
+   live request, and a guest cannot reach the backend's copy. *)
+
+module P = Paradice.Proto
+
+let ioctl_req arg = P.Rioctl { vfd = 0; cmd = 1; arg = Int64.of_int arg }
+let encode_ioctl arg buf = P.encode_request_into buf ~grant_ref:0 ~pid:0 (ioctl_req arg)
+
+(* A scripted backend: waits [delay_us] with the drained descriptor in
+   hand, then answers an ioctl with [answer ~execution arg].  [drained]
+   collects each descriptor's ioctl argument as decoded after the wait
+   (-1 for anything else); [on_drain] runs right after each drain. *)
+let ioctl_server ?(on_drain = fun ~slot:_ -> ()) ch eng ~delay_us ~answer =
+  let drained = ref [] in
+  Sim.Engine.spawn eng ~name:"ioctl-server" (fun () ->
+      let rec loop () =
+        match Ch.next_request ch with
+        | None -> ()
+        | Some (slot, bytes) ->
+            on_drain ~slot;
+            Sim.Engine.wait (delay_us (List.length !drained));
+            let arg =
+              match P.decode_request bytes with
+              | P.Rioctl { arg; _ }, _, _ -> Int64.to_int arg
+              | _ | (exception P.Malformed _) -> -1
+            in
+            drained := arg :: !drained;
+            Ch.respond ch ~slot (answer ~execution:(List.length !drained) arg);
+            loop ()
+      in
+      loop ());
+  drained
+
+let test_overlapping_guests_own_answers () =
+  (* two guests whose drivers answer the same ioctl differently, each
+     with three callers keeping several ring slots in flight, all in
+     one domain (one scratch buffer): every caller must decode its own
+     answer, and a copy taken by [decode] must stay its own after
+     every later exchange has reused the scratch *)
+  let m = M.create () in
+  let (_ : Oskit.Defs.device) = M.attach_null m in
+  let g1 = M.add_guest m ~name:"g1" () and g2 = M.add_guest m ~name:"g2" () in
+  let eng = M.engine m in
+  let guests = [ (raw_channel (m, g1), 10_000, 7.); (raw_channel (m, g2), 20_000, 11.) ] in
+  List.iter
+    (fun (ch, base, delay) ->
+      ignore
+        (ioctl_server ch eng ~delay_us:(fun _ -> delay) ~answer:(fun ~execution:_ arg ->
+             P.Rok (base + arg))))
+    guests;
+  let answers = ref [] in
+  List.iter
+    (fun (ch, base, _) ->
+      for caller = 0 to 2 do
+        Sim.Engine.spawn eng (fun () ->
+            for i = 1 to 5 do
+              let arg = (caller * 100) + i in
+              let resp, raw =
+                Ch.rpc ch ~trace:0 ~encode:(encode_ioctl arg) ~decode:(fun b ->
+                    (P.decode_response b, Bytes.copy b))
+              in
+              answers := (base + arg, resp, raw) :: !answers
+            done)
+      done)
+    guests;
+  Sim.Engine.run eng;
+  Alcotest.(check int) "every exchange answered" 30 (List.length !answers);
+  List.iter
+    (fun (expected, resp, raw) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "answer %d decoded by its own caller" expected)
+        true (resp = P.Rok expected);
+      Alcotest.(check bool)
+        (Printf.sprintf "copy of answer %d still its own" expected)
+        true
+        (P.decode_response raw = P.Rok expected))
+    !answers;
+  List.iter
+    (fun (ch, _, _) ->
+      Alcotest.(check bool) "exchanges overlapped on the ring" true
+        ((Ch.stats ch).Ch.max_in_flight > 1))
+    guests
+
+let test_stale_republish_pairs_by_seq () =
+  (* the first attempt is answered after its deadline: its late
+     response lands in the slot over the resend, and the frontend
+     republishes.  The republished descriptor must be the live request
+     re-encoded (the backend decodes the ioctl both times, never the
+     stale response the frontend just read into the same scratch), and
+     only the second execution's answer may pair with the caller *)
+  let m, g = boot_null () in
+  let config =
+    { (M.config m) with Paradice.Config.rpc_timeout_us = 500.; rpc_retries = 2 }
+  in
+  let ch = raw_channel ~config (m, g) in
+  let drained =
+    ioctl_server ch (M.engine m)
+      ~delay_us:(fun served -> if served = 0 then 600. else 0.)
+      ~answer:(fun ~execution arg -> P.Rok ((execution * 1000) + arg))
+  in
+  let resp =
+    run_in (M.engine m) (fun () ->
+        Ch.rpc ch ~trace:0 ~encode:(encode_ioctl 42) ~decode:P.decode_response)
+  in
+  let s = Ch.stats ch in
+  Alcotest.(check int) "late response discarded as stale" 1 s.Ch.stale_responses;
+  Alcotest.(check (list int)) "both executions decoded the live request" [ 42; 42 ]
+    !drained;
+  Alcotest.(check bool) "paired with the second execution's answer" true
+    (resp = P.Rok 2042)
+
+let test_backend_copy_private () =
+  (* double-fetch guard: once the backend has drained a descriptor, the
+     guest rewriting the shared slot (here with a different ioctl)
+     must not change what the driver goes on to decode *)
+  let m, g = boot_null () in
+  let ch = raw_channel (m, g) in
+  let rewrite = P.encode_request ~grant_ref:0 ~pid:0 (ioctl_req 666) in
+  let rewrites = ref 0 in
+  let drained =
+    ioctl_server ch (M.engine m)
+      ~on_drain:(fun ~slot ->
+        incr rewrites;
+        Ch.inject_raw ch ~slot rewrite)
+      ~delay_us:(fun _ -> 100.)
+      ~answer:(fun ~execution:_ arg -> P.Rok arg)
+  in
+  let resp =
+    run_in (M.engine m) (fun () ->
+        Ch.rpc ch ~trace:0 ~encode:(encode_ioctl 7) ~decode:P.decode_response)
+  in
+  Alcotest.(check int) "slot rewritten after the drain" 1 !rewrites;
+  Alcotest.(check (list int)) "driver decoded the descriptor it drained" [ 7 ] !drained;
+  Alcotest.(check bool) "caller answered for its own request" true (resp = P.Rok 7)
+
+(* ---- host-cost gates ----
+
+   Host allocation is deterministic for a given build, so these are
+   exact budgets rather than timings.  The forwarding path fills
+   scratch descriptors instead of allocating 1 KiB ones per op; the
+   retention gate catches the opposite trap of buffers held per ring
+   slot, which would add about 96 KiB of live heap per guest
+   (3 buffers x 8 slots x 4 channels). *)
+
+let noop_ops m g ~ops =
+  run_in (M.engine m) (fun () ->
+      let app = M.spawn_app m g.M.kernel ~name:"app" in
+      let fd = Fixtures.ok (Oskit.Vfs.openf g.M.kernel app "/dev/null0") in
+      let words0 = Gc.minor_words () in
+      for _ = 1 to ops do
+        match Oskit.Vfs.ioctl g.M.kernel app fd ~cmd:M.null_ioctl ~arg:0L with
+        | Ok 0 -> ()
+        | _ -> Alcotest.fail "noop ioctl failed"
+      done;
+      Gc.minor_words () -. words0)
+
+(* 768 words = 6.0 KB per op on a 64-bit host (the forwarding path
+   with per-op descriptor buffers allocated about 1 354). *)
+let max_minor_words_per_noop = 768.
+
+let test_noop_allocation_budget () =
+  let m, g = boot_null () in
+  let (_ : float) = noop_ops m g ~ops:1 in
+  let ops = 2_000 in
+  let per_op = noop_ops m g ~ops /. float_of_int ops in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per noop <= %.0f" per_op max_minor_words_per_noop)
+    true
+    (per_op <= max_minor_words_per_noop)
+
+(* Live heap per guest of a 16-guest machine after each guest's first
+   op: 93.6 KB on a 64-bit host when every op allocated its own
+   descriptors (none of which outlived the op).  The bound allows that
+   figure plus 2 KB: room for one backend copy per used channel, not
+   for buffers per slot. *)
+let max_live_kb_per_guest = 95.6
+
+let test_live_heap_per_guest () =
+  let guests = 16 in
+  Gc.full_major ();
+  let live0 = (Gc.quick_stat ()).Gc.live_words in
+  let m = M.create () in
+  let (_ : Oskit.Defs.device) = M.attach_null m in
+  let gs = List.init guests (fun i -> M.add_guest m ~name:(Printf.sprintf "g%d" i) ()) in
+  List.iter
+    (fun g ->
+      Sim.Engine.spawn (M.engine m) (fun () ->
+          let app = M.spawn_app m g.M.kernel ~name:"app" in
+          let fd = Fixtures.ok (Oskit.Vfs.openf g.M.kernel app "/dev/null0") in
+          match Oskit.Vfs.ioctl g.M.kernel app fd ~cmd:M.null_ioctl ~arg:0L with
+          | Ok 0 -> ()
+          | _ -> Alcotest.fail "first noop failed"))
+    gs;
+  Sim.Engine.run (M.engine m);
+  Gc.full_major ();
+  let live1 = (Gc.quick_stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity m);
+  let kb = float_of_int ((live1 - live0) * (Sys.word_size / 8)) /. 1024. /. float_of_int guests in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f KB live per guest <= %.1f" kb max_live_kb_per_guest)
+    true (kb <= max_live_kb_per_guest)
+
 let suites =
   [
     ( "channel.failure_injection",
@@ -477,6 +686,20 @@ let suites =
           test_notify_single_leg_and_kill;
         Alcotest.test_case "ring pipelines and coalesces doorbells" `Quick
           test_ring_pipelining_coalesces_doorbells;
+      ] );
+    ( "channel.buffers",
+      [
+        Alcotest.test_case "overlapping guests decode their own answers" `Quick
+          test_overlapping_guests_own_answers;
+        Alcotest.test_case "stale-response republish pairs by seq" `Quick
+          test_stale_republish_pairs_by_seq;
+        Alcotest.test_case "backend copy private from the guest" `Quick
+          test_backend_copy_private;
+      ] );
+    ( "channel.host_cost",
+      [
+        Alcotest.test_case "noop allocation budget" `Quick test_noop_allocation_budget;
+        Alcotest.test_case "live heap per guest" `Quick test_live_heap_per_guest;
       ] );
     ("channel.proto", [ QCheck_alcotest.to_alcotest prop_proto_request_roundtrip ]);
     ( "channel.dispatch",

@@ -342,11 +342,11 @@ let test_quarantine_isolates_attacker_keeps_victim () =
            (P.encode_request ~grant_ref:0 ~pid:att_pid P.Rnoop));
       (* the victim's service is untouched *)
       let vic_resp =
-        Paradice.Chan_pool.rpc victim.M.link.CB.pool
-          (P.encode_request ~grant_ref:0 ~pid:vic_pid P.Rnoop)
+        Paradice.Chan_pool.rpc victim.M.link.CB.pool ~trace:0
+          ~encode:(P.encoded (P.encode_request ~grant_ref:0 ~pid:vic_pid P.Rnoop))
+          ~decode:P.decode_response
       in
-      Alcotest.(check bool) "victim noop still served" true
-        (P.decode_response vic_resp = P.Rok 0);
+      Alcotest.(check bool) "victim noop still served" true (vic_resp = P.Rok 0);
       let vdead = ref 0 in
       Paradice.Chan_pool.iter_channels victim.M.link.CB.pool (fun c ->
           if Paradice.Channel.is_dead c then incr vdead);
@@ -403,7 +403,10 @@ let test_pool_cap_saturation_spares_light_guest () =
       let app = M.spawn_app m light.M.kernel ~name:"light" in
       let req = P.encode_request ~grant_ref:0 ~pid:app.Defs.pid P.Rnoop in
       for _ = 1 to 20 do
-        match P.decode_response (Paradice.Chan_pool.rpc light.M.link.CB.pool req) with
+        match
+          Paradice.Chan_pool.rpc light.M.link.CB.pool ~trace:0 ~encode:(P.encoded req)
+            ~decode:P.decode_response
+        with
         | P.Rok 0 -> incr light_ok
         | _ -> incr light_errors
         | exception _ -> incr light_errors
@@ -437,7 +440,10 @@ let test_pool_least_loaded_avoids_parked_worker () =
       let app = M.spawn_app m g.M.kernel ~name:"noops" in
       let req = P.encode_request ~grant_ref:0 ~pid:app.Defs.pid P.Rnoop in
       for _ = 1 to 12 do
-        match P.decode_response (Paradice.Chan_pool.rpc g.M.link.CB.pool req) with
+        match
+          Paradice.Chan_pool.rpc g.M.link.CB.pool ~trace:0 ~encode:(P.encoded req)
+            ~decode:P.decode_response
+        with
         | P.Rok 0 -> incr noops_done
         | _ -> Alcotest.fail "noop failed"
       done);

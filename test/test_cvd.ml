@@ -198,10 +198,11 @@ let test_noop_latency_interrupts_and_polling () =
         let pool = g.M.link.Paradice.Cvd_back.pool in
         let noop () =
           ignore
-            (Paradice.Proto.decode_response
-               (Paradice.Chan_pool.rpc pool
-                  (Paradice.Proto.encode_request ~grant_ref:0 ~pid:app.Defs.pid
-                     Paradice.Proto.Rnoop)))
+            (Paradice.Chan_pool.rpc pool ~trace:0
+               ~encode:(fun buf ->
+                 Paradice.Proto.encode_request_into buf ~grant_ref:0 ~pid:app.Defs.pid
+                   Paradice.Proto.Rnoop)
+               ~decode:Paradice.Proto.decode_response)
         in
         noop ();
         let n = 1000 in

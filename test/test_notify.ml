@@ -41,9 +41,9 @@ let test_double_respond_is_protocol_violation () =
       let rec loop () =
         match Ch.next_request ch with
         | None -> ()
-        | Some (slot, req) ->
-            Ch.respond ch ~slot req;
-            (match Ch.respond ch ~slot req with
+        | Some (slot, _) ->
+            Ch.respond ch ~slot (P.Rok 0);
+            (match Ch.respond ch ~slot (P.Rok 0) with
             | () -> Alcotest.fail "double respond must raise"
             | exception Oskit.Errno.Unix_error (Oskit.Errno.EIO, _) ->
                 incr eio_seen);
@@ -51,8 +51,8 @@ let test_double_respond_is_protocol_violation () =
       in
       loop ());
   run_in (M.engine m) (fun () ->
-      ignore (Ch.rpc ch ~trace:0 (fun () -> Bytes.copy noop_req));
-      ignore (Ch.rpc ch ~trace:0 (fun () -> Bytes.copy noop_req)));
+      Ch.rpc ch ~trace:0 ~encode:(P.encoded noop_req) ~decode:ignore;
+      Ch.rpc ch ~trace:0 ~encode:(P.encoded noop_req) ~decode:ignore);
   Alcotest.(check int) "both double-completes raised EIO" 2 !eio_seen;
   let s = Ch.stats ch in
   Alcotest.(check int) "violations counted" 2 s.Ch.protocol_violations;
@@ -65,7 +65,7 @@ let test_respond_never_claimed_slot_rejected () =
   let m, g = boot_null () in
   let ch = raw_channel (m, g) in
   run_in (M.engine m) (fun () ->
-      match Ch.respond ch ~slot:0 noop_req with
+      match Ch.respond ch ~slot:0 (P.Rok 0) with
       | () -> Alcotest.fail "unclaimed respond must raise"
       | exception Oskit.Errno.Unix_error (Oskit.Errno.EIO, _) -> ());
   let s = Ch.stats ch in
@@ -327,8 +327,8 @@ let test_live_mode_switch_on_channel () =
       let rec loop () =
         match Ch.next_request ch with
         | None -> ()
-        | Some (slot, req) ->
-            Ch.respond ch ~slot req;
+        | Some (slot, _) ->
+            Ch.respond ch ~slot (P.Rok 0);
             loop ()
       in
       loop ());
@@ -336,7 +336,7 @@ let test_live_mode_switch_on_channel () =
   run_in eng (fun () ->
       let burst () =
         for _ = 1 to 10 do
-          ignore (Ch.rpc ch ~trace:0 (fun () -> Bytes.copy noop_req));
+          Ch.rpc ch ~trace:0 ~encode:(P.encoded noop_req) ~decode:ignore;
           incr completed
         done
       in

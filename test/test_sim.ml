@@ -374,6 +374,89 @@ let prop_heap_pops_sorted =
       let sorted = List.sort compare out in
       out = sorted)
 
+(* Pushes and pops interleaved: every pop must return the least
+   pending (time, seq) entry, exactly as a sorted-list model would —
+   values follow their keys through slot reuse. *)
+let prop_heap_interleaved =
+  QCheck.Test.make ~name:"heap pops least (time, seq) under interleaved push/pop" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 300) (option (float_bound_exclusive 100.)))
+    (fun script ->
+      let heap = Sim.Heap.create ~dummy:(nan, -1) in
+      let model = ref [] in
+      let ok = ref true in
+      let pop () =
+        match List.sort compare !model with
+        | [] -> ()
+        | least :: rest ->
+            model := rest;
+            if Sim.Heap.min_time heap <> fst least || Sim.Heap.pop heap <> least then
+              ok := false
+      in
+      List.iteri
+        (fun seq -> function
+          | Some time ->
+              (* coarse times so equal timestamps are common *)
+              let time = Float.round time in
+              Sim.Heap.push heap ~time ~seq (time, seq);
+              model := (time, seq) :: !model
+          | None -> pop ())
+        script;
+      while !model <> [] do
+        pop ()
+      done;
+      !ok && Sim.Heap.is_empty heap)
+
+(* A popped value is released by the heap at once: the engine's values
+   are closures over continuations. *)
+let[@inline never] push_then_pop_closure heap weak =
+  let captured = ref 0 in
+  let f () = incr captured in
+  Weak.set weak 0 (Some f);
+  Sim.Heap.push heap ~time:1. ~seq:0 f;
+  Sim.Heap.push heap ~time:2. ~seq:1 ignore;
+  let (_ : unit -> unit) = Sys.opaque_identity (Sim.Heap.pop heap) in
+  ()
+
+let test_heap_slot_hygiene () =
+  let heap = Sim.Heap.create ~dummy:ignore in
+  let weak = Weak.create 1 in
+  push_then_pop_closure heap weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "popped closure collected" true (Weak.get weak 0 = None);
+  Alcotest.(check int) "other entry still queued" 1 (Sim.Heap.length heap)
+
+let test_heap_refill_past_grow () =
+  (* fill past several grows, drain, refill: slots freed by the drain
+     are reused and every value still pops with its own key *)
+  let heap = Sim.Heap.create ~dummy:(-1) in
+  let fill n ~seq0 =
+    for k = 0 to n - 1 do
+      (* descending times with ties, so pushes sift *)
+      Sim.Heap.push heap ~time:(float_of_int ((n - k) / 2)) ~seq:(seq0 + k) (seq0 + k)
+    done
+  in
+  let drain () =
+    let out = ref [] in
+    while not (Sim.Heap.is_empty heap) do
+      out := Sim.Heap.pop heap :: !out
+    done;
+    List.rev !out
+  in
+  let expected n ~seq0 =
+    List.init n (fun k -> ((n - k) / 2, seq0 + k))
+    |> List.sort compare
+    |> List.map snd
+  in
+  fill 40 ~seq0:0;
+  Alcotest.(check (list int)) "first fill drains in order" (expected 40 ~seq0:0) (drain ());
+  fill 100 ~seq0:1000;
+  Alcotest.(check (list int)) "refill past the next grow drains in order"
+    (expected 100 ~seq0:1000) (drain ());
+  fill 10 ~seq0:5000;
+  Alcotest.(check int) "length after a partial refill" 10 (Sim.Heap.length heap);
+  Alcotest.(check (list int)) "partial refill drains in order" (expected 10 ~seq0:5000)
+    (drain ())
+
 let prop_engine_time_monotonic =
   QCheck.Test.make ~name:"engine time is monotonic over random waits" ~count:100
     QCheck.(list_of_size Gen.(1 -- 20) (float_bound_exclusive 100.))
@@ -443,6 +526,9 @@ let suites =
         Alcotest.test_case "stats percentiles" `Quick test_stats_percentiles;
         Alcotest.test_case "stats merge = pooled" `Quick test_stats_merge;
         QCheck_alcotest.to_alcotest prop_heap_pops_sorted;
+        QCheck_alcotest.to_alcotest prop_heap_interleaved;
+        Alcotest.test_case "heap releases popped values" `Quick test_heap_slot_hygiene;
+        Alcotest.test_case "heap refill past grow" `Quick test_heap_refill_past_grow;
         QCheck_alcotest.to_alcotest prop_stats_mean_bounded;
       ] );
   ]
