@@ -231,10 +231,15 @@ let test_ropen_oversized () =
     (fun n ->
       let path = "/dev/" ^ String.make (n - 5) 'a' in
       Alcotest.(check int) "constructed length" n (String.length path);
-      match P.encode_request ~grant_ref:0 ~pid:1 (P.Ropen { path }) with
+      (match P.encode_request ~grant_ref:0 ~pid:1 (P.Ropen { path }) with
       | _ -> Alcotest.failf "encoder accepted %d-byte path" n
       | exception P.Oversized { field = "path"; length; limit = 256 } ->
-          Alcotest.(check int) "reported length" n length)
+          Alcotest.(check int) "reported length" n length);
+      (* the frontend's pre-slot check refuses the same path *)
+      match P.check_request (P.Ropen { path }) with
+      | () -> Alcotest.failf "check_request accepted %d-byte path" n
+      | exception P.Oversized { field = "path"; length; limit = 256 } ->
+          Alcotest.(check int) "check_request reported length" n length)
     [ 257; 2000 ];
   (* the decoder rejects the same lengths (wire word forged) *)
   let b = P.encode_request ~grant_ref:0 ~pid:1 (P.Ropen { path = "/dev/x" }) in
@@ -245,7 +250,8 @@ let test_ropen_oversized () =
   let path = "/dev/" ^ String.make 251 'a' in
   let b = P.encode_request ~grant_ref:0 ~pid:1 (P.Ropen { path }) in
   let req, _, _ = P.decode_request b in
-  Alcotest.(check bool) "256-byte path round-trips" true (req = P.Ropen { path })
+  Alcotest.(check bool) "256-byte path round-trips" true (req = P.Ropen { path });
+  P.check_request (P.Ropen { path })
 
 (* ---- satellite: hostile top-bit-set u64 into every 64-bit field ---- *)
 
