@@ -18,7 +18,7 @@ type file_state = {
 type guest_link = {
   guest_vm : Hypervisor.Vm.t;
   pool : Chan_pool.t;
-  files : (int, file_state) Hashtbl.t; (* vfd -> state, shared by workers *)
+  files : file_state Memory.Int_tbl.t; (* vfd -> state, shared by workers *)
   mutable next_vfd : int;
   mutable ops_served : int;
   (* -- containment (§4, §7.1: the backend treats every guest as
@@ -132,7 +132,7 @@ let quarantine t link worker =
     let a = audit t in
     a.Hypervisor.Audit.quarantines <- a.Hypervisor.Audit.quarantines + 1;
     m_incr t "containment.quarantines";
-    Hashtbl.iter
+    Memory.Int_tbl.iter
       (fun _ fs ->
         if not fs.file.Defs.closed then begin
           (try fs.file.Defs.dev.Defs.ops.Defs.fop_release worker fs.file
@@ -143,7 +143,7 @@ let quarantine t link worker =
           fs.file.Defs.fasync_subscribers <- []
         end)
       link.files;
-    Hashtbl.reset link.files;
+    Memory.Int_tbl.reset link.files;
     (match Hypervisor.Hyp.grant_table_of t.hyp link.guest_vm with
     | Some table -> ignore (Hypervisor.Grant_table.revoke_all table)
     | None -> ());
@@ -185,7 +185,7 @@ let throttle t link =
   end
 
 let find_file link vfd =
-  match Hashtbl.find_opt link.files vfd with
+  match Memory.Int_tbl.find_opt link.files vfd with
   | Some fs -> fs
   | None -> Errno.fail Errno.EINVAL "bad virtual descriptor"
 
@@ -267,7 +267,7 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
       in
       Proto.Rbatch_reply (List.mapi serve_sub reqs)
   | Proto.Ropen { path } ->
-      if Hashtbl.length link.files >= t.config.Config.max_open_vfds then begin
+      if Memory.Int_tbl.length link.files >= t.config.Config.max_open_vfds then begin
         (* per-guest descriptor cap: an open loop exhausts the guest's
            own allowance, not the backend's tables *)
         link.quota_breaches <- link.quota_breaches + 1;
@@ -304,11 +304,11 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
                 dev.Defs.open_count <- dev.Defs.open_count + 1;
                 let vfd = link.next_vfd in
                 link.next_vfd <- vfd + 1;
-                Hashtbl.replace link.files vfd { file; vmas = [] };
+                Memory.Int_tbl.replace link.files vfd { file; vmas = [] };
                 vfd)
   | Proto.Rrelease { vfd } ->
       let fs = find_file link vfd in
-      Hashtbl.remove link.files vfd;
+      Memory.Int_tbl.remove link.files vfd;
       wrap (fun () ->
           Kernel.charge_syscall kernel;
           (* The driver's release handler may fail; the backend's own
@@ -565,7 +565,7 @@ let connect t ~guest_vm =
     {
       guest_vm;
       pool;
-      files = Hashtbl.create 8;
+      files = Memory.Int_tbl.create 8;
       next_vfd = 1;
       ops_served = 0;
       malformed = 0;
@@ -656,7 +656,7 @@ let grants_of t guest_vm =
     misbehavior history through an upgrade. *)
 let checkpoint_link t link : Snapshot.link_snap =
   let files =
-    Hashtbl.fold (fun vfd fs acc -> (vfd, fs) :: acc) link.files []
+    Memory.Int_tbl.fold (fun vfd fs acc -> (vfd, fs) :: acc) link.files []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   {
@@ -695,9 +695,9 @@ let checkpoint_link t link : Snapshot.link_snap =
     mappings are left intact: they are guest-keyed and the successor
     re-validates them in place. *)
 let release_link_files t link =
-  if Hashtbl.length link.files > 0 then begin
+  if Memory.Int_tbl.length link.files > 0 then begin
     let reaper = Kernel.spawn_task t.kernel ~name:"cvd-reaper" in
-    Hashtbl.iter
+    Memory.Int_tbl.iter
       (fun _ fs ->
         if not fs.file.Defs.closed then begin
           (try fs.file.Defs.dev.Defs.ops.Defs.fop_release reaper fs.file
@@ -708,7 +708,7 @@ let release_link_files t link =
           fs.file.Defs.fasync_subscribers <- []
         end)
       link.files;
-    Hashtbl.reset link.files
+    Memory.Int_tbl.reset link.files
   end
 
 let detach_link t link = t.links <- List.filter (fun l -> l != link) t.links
@@ -775,8 +775,8 @@ let restore_link t ~(snap : Snapshot.link_snap) ~guest_vm ?fail_site () =
         | Error _ -> false)
         && vfd >= 1
         && vfd <= Proto.max_vfd
-        && (not (Hashtbl.mem link.files vfd))
-        && Hashtbl.length link.files < t.config.Config.max_open_vfds
+        && (not (Memory.Int_tbl.mem link.files vfd))
+        && Memory.Int_tbl.length link.files < t.config.Config.max_open_vfds
         && List.mem path t.exports
       in
       if not admissible then false
@@ -819,7 +819,7 @@ let restore_link t ~(snap : Snapshot.link_snap) ~guest_vm ?fail_site () =
               stats :=
                 { !stats with rs_vmas = !stats.rs_vmas + List.length vmas };
               (* live mirror is newest-first *)
-              Hashtbl.replace link.files vfd { file; vmas = List.rev vmas };
+              Memory.Int_tbl.replace link.files vfd { file; vmas = List.rev vmas };
               if fr.Snapshot.fr_fasync then begin
                 (try dev.Defs.ops.Defs.fop_fasync restorer file ~on:true
                  with _ -> ());

@@ -5,7 +5,7 @@
 type guest_link = {
   guest_vm : Hypervisor.Vm.t;
   pool : Chan_pool.t;
-  files : (int, file_state) Hashtbl.t;
+  files : file_state Memory.Int_tbl.t;
   mutable next_vfd : int;
   mutable ops_served : int;
   mutable malformed : int;  (** undecodable descriptors *)

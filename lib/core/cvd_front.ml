@@ -30,13 +30,13 @@ type t = {
   config : Config.t;
   (* analyzer output per device class, keyed by devfs path *)
   entries : (string, Analyzer.Extract.t) Hashtbl.t;
-  vfds : (int, int) Hashtbl.t; (* guest file_id -> backend vfd *)
+  vfds : int Memory.Int_tbl.t; (* guest file_id -> backend vfd *)
   (* guest files whose backend session died under them: their vfds are
      meaningless, operations fail ENODEV until the file is reopened.
      The value records why the file went stale, so callers can tell a
      retryable staleness (driver VM rebooted: reopen succeeds) from a
      hard one (session still down). *)
-  stale_vfds : (int, string) Hashtbl.t;
+  stale_vfds : string Memory.Int_tbl.t;
   mutable fasync_files : Defs.file list; (* forward notifications here *)
   mutable session : session;
   (* Planned-handoff gate (hot upgrade / migration): while [paused],
@@ -95,10 +95,10 @@ let fault_session t ~reason =
            ~reason:(String.map (fun c -> if c = ' ' then '_' else c) reason));
       let began = Sim.Engine.now (Kernel.engine t.kernel) in
       (* all open virtual files lose their backend descriptors *)
-      Hashtbl.iter
-        (fun file_id _ -> Hashtbl.replace t.stale_vfds file_id reason)
+      Memory.Int_tbl.iter
+        (fun file_id _ -> Memory.Int_tbl.replace t.stale_vfds file_id reason)
         t.vfds;
-      Hashtbl.reset t.vfds;
+      Memory.Int_tbl.reset t.vfds;
       t.fasync_files <- [];
       let revoked = Hypervisor.Grant_table.revoke_all t.grant_table in
       let torn = Hypervisor.Hyp.teardown_vm_mappings t.hyp ~target:t.guest_vm in
@@ -239,8 +239,8 @@ let create ~kernel ~hyp ~guest_vm ~pool ~config =
       grant_table;
       config;
       entries = Hashtbl.create 8;
-      vfds = Hashtbl.create 16;
-      stale_vfds = Hashtbl.create 16;
+      vfds = Memory.Int_tbl.create 16;
+      stale_vfds = Memory.Int_tbl.create 16;
       fasync_files = [];
       session = Healthy;
       paused = false;
@@ -385,12 +385,12 @@ let forward_batch t (task : Defs.task) ~ops reqs : Proto.response list =
       Errno.fail Errno.EIO "unexpected batch reply shape"
 
 let vfd_of t (file : Defs.file) =
-  match Hashtbl.find_opt t.stale_vfds file.Defs.file_id with
+  match Memory.Int_tbl.find_opt t.stale_vfds file.Defs.file_id with
   | Some reason ->
       Errno.fail Errno.ENODEV
         ("backend session died under this file (" ^ reason ^ ")")
   | None -> (
-      match Hashtbl.find_opt t.vfds file.Defs.file_id with
+      match Memory.Int_tbl.find_opt t.vfds file.Defs.file_id with
       | Some vfd -> vfd
       | None -> Errno.fail Errno.EINVAL "virtual file has no backend descriptor")
 
@@ -422,10 +422,10 @@ type file_status =
   | Unknown  (** never opened here (or already released) *)
 
 let file_status t (file : Defs.file) =
-  match Hashtbl.find_opt t.stale_vfds file.Defs.file_id with
+  match Memory.Int_tbl.find_opt t.stale_vfds file.Defs.file_id with
   | Some reason ->
       if t.session = Healthy then Stale_retryable reason else Stale_dead reason
-  | None -> if Hashtbl.mem t.vfds file.Defs.file_id then Live else Unknown
+  | None -> if Memory.Int_tbl.mem t.vfds file.Defs.file_id then Live else Unknown
 
 (* ---- ioctl memory-operation identification (§4.1) ---- *)
 
@@ -470,19 +470,19 @@ let export t ~path ~cls ~driver ?(exclusive = false) ?entries ~kinds () =
           let vfd =
             remote_fail (forward t task ~ops:[] (Proto.Ropen { path }))
           in
-          Hashtbl.replace t.vfds file.Defs.file_id vfd);
+          Memory.Int_tbl.replace t.vfds file.Defs.file_id vfd);
       fop_release =
         (fun task file ->
-          if Hashtbl.mem t.stale_vfds file.Defs.file_id then begin
+          if Memory.Int_tbl.mem t.stale_vfds file.Defs.file_id then begin
             (* the backend died under this file: nothing to tell a dead
                (or rebooted and amnesiac) driver VM, clean up locally
                so close() succeeds and the slot is reusable *)
-            Hashtbl.remove t.stale_vfds file.Defs.file_id;
+            Memory.Int_tbl.remove t.stale_vfds file.Defs.file_id;
             t.fasync_files <- List.filter (fun f -> f != file) t.fasync_files
           end
           else begin
             let vfd = vfd_of t file in
-            Hashtbl.remove t.vfds file.Defs.file_id;
+            Memory.Int_tbl.remove t.vfds file.Defs.file_id;
             t.fasync_files <- List.filter (fun f -> f != file) t.fasync_files;
             ignore (remote_fail (forward t task ~ops:[] (Proto.Rrelease { vfd })))
           end);

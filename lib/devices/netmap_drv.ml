@@ -44,6 +44,7 @@ type t = {
   mutable tx_packets : int;
   mutable tx_bytes : int;
   mutable started : bool;
+  dma_scratch : Bytes.t; (* where the NIC's header DMA lands *)
 }
 
 let bufs_per_page = Memory.Addr.page_size / 2048
@@ -81,6 +82,7 @@ let create kernel ~iommu ?(num_slots = 1024) ?(buf_size = 2048) ?(gbps = 1.) () 
       tx_packets = 0;
       tx_bytes = 0;
       started = false;
+      dma_scratch = Bytes.create 16;
     }
   in
   t
@@ -89,17 +91,10 @@ let tx_packets t = t.tx_packets
 let tx_bytes t = t.tx_bytes
 
 (* Driver-side access to the ring header/slots through its own pages. *)
-let hdr_read t off =
-  let vm = Kernel.vm t.kernel in
-  Int32.to_int
-    (Bytes.get_int32_le (Hypervisor.Vm.read_gpa vm ~gpa:(t.ring_pages.(0) + off) ~len:4) 0)
-  land 0xffffffff
+let hdr_read t off = Hypervisor.Vm.read_gpa_u32 (Kernel.vm t.kernel) ~gpa:(t.ring_pages.(0) + off)
 
 let hdr_write t off v =
-  let vm = Kernel.vm t.kernel in
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int v);
-  Hypervisor.Vm.write_gpa vm ~gpa:(t.ring_pages.(0) + off) b
+  Hypervisor.Vm.write_gpa_u32 (Kernel.vm t.kernel) ~gpa:(t.ring_pages.(0) + off) v
 
 let slot_addr slot = slots_off + (slot * slot_bytes)
 
@@ -132,25 +127,17 @@ let start t =
           let cur = if cur >= t.num_slots then t.hw_tail else cur in
           while t.hw_tail <> cur do
             let slot = t.hw_tail in
-            let len =
-              let vm = Kernel.vm t.kernel in
-              Int32.to_int
-                (Bytes.get_int32_le
-                   (Hypervisor.Vm.read_gpa vm
-                      ~gpa:(t.ring_pages.(0) + slot_addr slot)
-                      ~len:4)
-                   0)
-            in
+            (* unsigned: a length with bit 31 set is out of range too *)
+            let len = hdr_read t (slot_addr slot) in
             let len = if len <= 0 || len > t.buf_size then 60 else len in
             (* DMA the frame header: permissions checked by the IOMMU *)
             (try
-               ignore
-                 (Memory.Phys_mem.read
-                    (Hypervisor.Vm.phys (Kernel.vm t.kernel))
-                    ~spa:
-                      (Memory.Iommu.translate t.iommu ~dma:(buf_dma t slot)
-                         ~access:Memory.Perm.Read)
-                    ~len:(min len 16))
+               Memory.Phys_mem.read_into
+                 (Hypervisor.Vm.phys (Kernel.vm t.kernel))
+                 ~spa:
+                   (Memory.Iommu.translate t.iommu ~dma:(buf_dma t slot)
+                      ~access:Memory.Perm.Read)
+                 ~dst:t.dma_scratch ~dst_off:0 ~len:(min len 16)
              with Memory.Fault.Iommu_fault _ -> ());
             Sim.Engine.wait (wire_time_us t ~len);
             t.tx_packets <- t.tx_packets + 1;

@@ -10,20 +10,29 @@ type t = {
   phys : Memory.Phys_mem.t;
   audit : Audit.t;
   mutable vms : Vm.t list;
-  grant_tables : (int, Grant_table.t) Hashtbl.t; (* vm id -> table *)
-  (* (vm id, grant_ref) -> declared group + the table generation it was
-     read at; stale generations fall through to a fresh shared-page scan *)
-  grant_cache : (int * int, Grant_table.op list * int) Hashtbl.t;
+  grant_tables : Grant_table.t Memory.Int_tbl.t; (* vm id -> table *)
+  (* (vm id, grant_ref) ({!vm_key}) -> declared group + the table
+     generation it was read at; stale generations fall through to a
+     fresh shared-page scan *)
+  grant_cache : (Grant_table.op list * int) Memory.Int_tbl.t;
   (* (vm id, pt id, gva) -> gpa backing an mmap performed via map_page *)
   mmap_registry : (int * int * int, int) Hashtbl.t;
-  (* (vm id, pid) -> process page table: how the hypervisor resolves a
-     guest process named in a driver-VM request (the real system reads
-     the guest CR3 at trap time) *)
-  process_registry : (int * int, Memory.Guest_pt.t) Hashtbl.t;
+  (* (vm id, pid) ({!vm_key}) -> process page table: how the
+     hypervisor resolves a guest process named in a driver-VM request
+     (the real system reads the guest CR3 at trap time) *)
+  process_registry : Memory.Guest_pt.t Memory.Int_tbl.t;
   mutable validate : bool; (* fault-isolation runtime checks (§4.1) *)
   mutable next_vm_id : int;
   mutable tracer : Obs.Trace.t; (* span sink for memory-op callers *)
 }
+
+(* A (vm id, x) pair packed into one int-table key.  Grant refs and
+   pids travel as 32-bit wire fields; a value outside 32 bits has no
+   key, since it could alias another VM's pair. *)
+let vm_key_bits = 32
+let[@inline] fits_vm_key x = x >= 0 && x lsr vm_key_bits = 0
+let[@inline] vm_key vm x = (Vm.id vm lsl vm_key_bits) lor x
+let[@inline] vm_of_key key = key lsr vm_key_bits
 
 exception Rejected of string
 (** A driver-VM request failed validation.  In hardware this would be
@@ -34,10 +43,10 @@ let create phys =
     phys;
     audit = Audit.create ();
     vms = [];
-    grant_tables = Hashtbl.create 8;
-    grant_cache = Hashtbl.create 64;
+    grant_tables = Memory.Int_tbl.create 8;
+    grant_cache = Memory.Int_tbl.create 64;
     mmap_registry = Hashtbl.create 64;
-    process_registry = Hashtbl.create 64;
+    process_registry = Memory.Int_tbl.create 64;
     validate = true;
     next_vm_id = 0;
     tracer = Obs.Trace.disabled;
@@ -111,8 +120,8 @@ let teardown_vm_mappings t ~target =
       t.mmap_registry []
   in
   let pts =
-    Hashtbl.fold
-      (fun (id, _) pt acc -> if id = vm_id then pt :: acc else acc)
+    Memory.Int_tbl.fold
+      (fun key pt acc -> if vm_of_key key = vm_id then pt :: acc else acc)
       t.process_registry []
   in
   List.iter
@@ -146,9 +155,9 @@ let revalidate_vm_mappings t ~target =
     |> List.sort compare
   in
   let pt_of pt_id =
-    Hashtbl.fold
-      (fun (id, _) pt acc ->
-        if id = vm_id && Memory.Guest_pt.id pt = pt_id then Some pt else acc)
+    Memory.Int_tbl.fold
+      (fun key pt acc ->
+        if vm_of_key key = vm_id && Memory.Guest_pt.id pt = pt_id then Some pt else acc)
       t.process_registry None
   in
   let kept = ref 0 and dropped = ref 0 in
@@ -185,10 +194,14 @@ let revalidate_vm_mappings t ~target =
 let setup_grant_table t guest =
   let table = Grant_table.create t.phys ~guest_vm:guest in
   guest.Vm.grant_frame <- Some (Shared_page.spn (Grant_table.page table));
-  Hashtbl.replace t.grant_tables (Vm.id guest) table;
+  Memory.Int_tbl.replace t.grant_tables (Vm.id guest) table;
   table
 
-let grant_table_of t guest = Hashtbl.find_opt t.grant_tables (Vm.id guest)
+let grant_table_of t guest = Memory.Int_tbl.find_opt t.grant_tables (Vm.id guest)
+
+(* Returned by a grant-cache miss, and probed for by physical
+   equality. *)
+let uncached = ([], -1)
 
 let check_grant t ~target ~grant_ref ~requested =
   if t.validate then begin
@@ -200,24 +213,31 @@ let check_grant t ~target ~grant_ref ~requested =
       Audit.note_guest_rejection t.audit ~vm_id:(Vm.id target);
       reject t msg
     in
-    match Hashtbl.find_opt t.grant_tables (Vm.id target) with
+    match Memory.Int_tbl.find_opt t.grant_tables (Vm.id target) with
     | None -> reject_guest "target guest has no grant table"
     | Some table ->
         (* The declared group is immutable between grant-table
            mutations, so cache the shared-page scan keyed by the table
-           generation ({!Grant_table.generation}). *)
+           generation ({!Grant_table.generation}).  A ref outside 32
+           bits names no entry and is not cached. *)
         let gen = Grant_table.generation table in
-        let key = (Vm.id target, grant_ref) in
         let declared =
-          match Hashtbl.find_opt t.grant_cache key with
-          | Some (ops, cached_gen) when cached_gen = gen ->
-              t.audit.Audit.grant_cache_hits <-
-                t.audit.Audit.grant_cache_hits + 1;
+          if not (fits_vm_key grant_ref) then Grant_table.lookup table grant_ref
+          else begin
+            let key = vm_key target grant_ref in
+            let ((ops, cached_gen) as cached) =
+              Memory.Int_tbl.find_default t.grant_cache key uncached
+            in
+            if cached != uncached && cached_gen = gen then begin
+              t.audit.Audit.grant_cache_hits <- t.audit.Audit.grant_cache_hits + 1;
               ops
-          | Some _ | None ->
+            end
+            else begin
               let ops = Grant_table.lookup table grant_ref in
-              Hashtbl.replace t.grant_cache key (ops, gen);
+              Memory.Int_tbl.replace t.grant_cache key (ops, gen);
               ops
+            end
+          end
         in
         if not (Grant_table.authorises_ops declared ~requested) then
           reject_guest
@@ -228,10 +248,12 @@ let check_grant t ~target ~grant_ref ~requested =
 (* ---- guest process registry ---- *)
 
 let register_process t vm ~pid ~pt =
-  Hashtbl.replace t.process_registry (Vm.id vm, pid) pt
+  if not (fits_vm_key pid) then invalid_arg "Hyp.register_process: pid outside 32 bits";
+  Memory.Int_tbl.replace t.process_registry (vm_key vm pid) pt
 
 let find_process_pt t vm ~pid =
-  Hashtbl.find_opt t.process_registry (Vm.id vm, pid)
+  if fits_vm_key pid then Memory.Int_tbl.find_opt t.process_registry (vm_key vm pid)
+  else None
 
 (* ---- memory-operation API (§5.2) ---- *)
 

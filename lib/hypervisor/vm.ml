@@ -41,61 +41,83 @@ let flush_tlb t = Memory.Tlb.flush t.tlb
     {!Memory.Tlb.gpa_space} with a pinned pt generation of 0. *)
 let translate_gpa t ~gpa ~access =
   let vfn = Memory.Addr.pfn gpa in
+  let key = Memory.Tlb.key ~space:Memory.Tlb.gpa_space ~vfn in
   let ept_gen = Memory.Ept.generation t.ept in
-  match
-    Memory.Tlb.lookup t.tlb
-      ~key:(Memory.Tlb.gpa_space, vfn)
-      ~access ~pt_gen:0 ~ept_gen
-  with
-  | Some spn -> Memory.Addr.of_pfn spn lor Memory.Addr.offset gpa
-  | None ->
-      let spa, ept_perms = Memory.Ept.translate_leaf t.ept ~gpa ~access in
-      Memory.Tlb.count_walks t.tlb 1;
-      Memory.Tlb.install t.tlb
-        ~key:(Memory.Tlb.gpa_space, vfn)
-        {
-          Memory.Tlb.spn = Memory.Addr.pfn spa;
-          pt_perms = Memory.Perm.rwx;
-          ept_perms;
-          pt_gen = 0;
-          ept_gen;
-        };
-      spa
+  let spn = Memory.Tlb.lookup t.tlb ~key ~access ~pt_gen:0 ~ept_gen in
+  if spn >= 0 then Memory.Addr.of_pfn spn lor Memory.Addr.offset gpa
+  else begin
+    let spa, ept_perms = Memory.Ept.translate_leaf t.ept ~gpa ~access in
+    Memory.Tlb.count_walks t.tlb 1;
+    Memory.Tlb.install t.tlb ~key
+      {
+        Memory.Tlb.spn = Memory.Addr.pfn spa;
+        pt_perms = Memory.Perm.rwx;
+        ept_perms;
+        pt_gen = 0;
+        ept_gen;
+      };
+    spa
+  end
 
 (** Combined guest-PT + EPT translation with TLB caching, keyed by the
     process's address-space id. *)
 let translate_gva t ~pt ~gva ~access =
-  let vfn = Memory.Addr.pfn gva in
-  let space = Memory.Guest_pt.id pt in
+  let key = Memory.Tlb.key ~space:(Memory.Guest_pt.id pt) ~vfn:(Memory.Addr.pfn gva) in
   let pt_gen = Memory.Guest_pt.generation pt in
   let ept_gen = Memory.Ept.generation t.ept in
-  match Memory.Tlb.lookup t.tlb ~key:(space, vfn) ~access ~pt_gen ~ept_gen with
-  | Some spn -> Memory.Addr.of_pfn spn lor Memory.Addr.offset gva
-  | None ->
-      let gpa, pt_perms = Memory.Guest_pt.translate_leaf pt ~gva ~access in
-      let spa, ept_perms = Memory.Ept.translate_leaf t.ept ~gpa ~access in
-      Memory.Tlb.count_walks t.tlb 2;
-      Memory.Tlb.install t.tlb ~key:(space, vfn)
-        { Memory.Tlb.spn = Memory.Addr.pfn spa; pt_perms; ept_perms; pt_gen; ept_gen };
-      spa
+  let spn = Memory.Tlb.lookup t.tlb ~key ~access ~pt_gen ~ept_gen in
+  if spn >= 0 then Memory.Addr.of_pfn spn lor Memory.Addr.offset gva
+  else begin
+    let gpa, pt_perms = Memory.Guest_pt.translate_leaf pt ~gva ~access in
+    let spa, ept_perms = Memory.Ept.translate_leaf t.ept ~gpa ~access in
+    Memory.Tlb.count_walks t.tlb 2;
+    Memory.Tlb.install t.tlb ~key
+      { Memory.Tlb.spn = Memory.Addr.pfn spa; pt_perms; ept_perms; pt_gen; ept_gen };
+    spa
+  end
+
+(* Blits a byte range one page at a time: each page is one
+   translation plus one frame blit.  Top-level loops, so a copy
+   allocates no closure. *)
+let rec read_gpa_chunks t ~gpa ~dst ~pos ~len =
+  if len > 0 then begin
+    let chunk = min len (Memory.Addr.page_size - Memory.Addr.offset gpa) in
+    let spa = translate_gpa t ~gpa ~access:Memory.Perm.Read in
+    Memory.Phys_mem.read_into t.phys ~spa ~dst ~dst_off:pos ~len:chunk;
+    read_gpa_chunks t ~gpa:(gpa + chunk) ~dst ~pos:(pos + chunk) ~len:(len - chunk)
+  end
+
+let rec write_gpa_chunks t ~gpa ~src ~pos ~len =
+  if len > 0 then begin
+    let chunk = min len (Memory.Addr.page_size - Memory.Addr.offset gpa) in
+    let spa = translate_gpa t ~gpa ~access:Memory.Perm.Write in
+    Memory.Phys_mem.write_from t.phys ~spa ~src ~src_off:pos ~len:chunk;
+    write_gpa_chunks t ~gpa:(gpa + chunk) ~src ~pos:(pos + chunk) ~len:(len - chunk)
+  end
+
+let rec read_gva_chunks t ~pt ~gva ~dst ~pos ~len =
+  if len > 0 then begin
+    let chunk = min len (Memory.Addr.page_size - Memory.Addr.offset gva) in
+    let spa = translate_gva t ~pt ~gva ~access:Memory.Perm.Read in
+    Memory.Phys_mem.read_into t.phys ~spa ~dst ~dst_off:pos ~len:chunk;
+    read_gva_chunks t ~pt ~gva:(gva + chunk) ~dst ~pos:(pos + chunk) ~len:(len - chunk)
+  end
+
+let rec write_gva_chunks t ~pt ~gva ~src ~pos ~len =
+  if len > 0 then begin
+    let chunk = min len (Memory.Addr.page_size - Memory.Addr.offset gva) in
+    let spa = translate_gva t ~pt ~gva ~access:Memory.Perm.Write in
+    Memory.Phys_mem.write_from t.phys ~spa ~src ~src_off:pos ~len:chunk;
+    write_gva_chunks t ~pt ~gva:(gva + chunk) ~src ~pos:(pos + chunk) ~len:(len - chunk)
+  end
 
 (** CPU access to guest-physical memory from inside the VM: the
     hardware walks the EPT with permission checks, so reads of
     protected-region pages raise {!Memory.Fault.Ept_violation} exactly
     as §4.2 requires. *)
-let read_gpa_into t ~gpa ~dst ~dst_off ~len =
-  let pos = ref dst_off in
-  Memory.Addr.iter_page_chunks ~addr:gpa ~len (fun addr chunk ->
-      let spa = translate_gpa t ~gpa:addr ~access:Memory.Perm.Read in
-      Memory.Phys_mem.read_into t.phys ~spa ~dst ~dst_off:!pos ~len:chunk;
-      pos := !pos + chunk)
+let read_gpa_into t ~gpa ~dst ~dst_off ~len = read_gpa_chunks t ~gpa ~dst ~pos:dst_off ~len
 
-let write_gpa_from t ~gpa ~src ~src_off ~len =
-  let pos = ref src_off in
-  Memory.Addr.iter_page_chunks ~addr:gpa ~len (fun addr chunk ->
-      let spa = translate_gpa t ~gpa:addr ~access:Memory.Perm.Write in
-      Memory.Phys_mem.write_from t.phys ~spa ~src ~src_off:!pos ~len:chunk;
-      pos := !pos + chunk)
+let write_gpa_from t ~gpa ~src ~src_off ~len = write_gpa_chunks t ~gpa ~src ~pos:src_off ~len
 
 let read_gpa t ~gpa ~len =
   let out = Bytes.create len in
@@ -109,19 +131,10 @@ let write_gpa t ~gpa data =
     (guest PT then EPT), the path every simulated application load and
     store takes.  A page-granular gva chunk maps into a single frame,
     so each chunk is one translation plus one blit. *)
-let read_gva_into t ~pt ~gva ~dst ~dst_off ~len =
-  let pos = ref dst_off in
-  Memory.Addr.iter_page_chunks ~addr:gva ~len (fun addr chunk ->
-      let spa = translate_gva t ~pt ~gva:addr ~access:Memory.Perm.Read in
-      Memory.Phys_mem.read_into t.phys ~spa ~dst ~dst_off:!pos ~len:chunk;
-      pos := !pos + chunk)
+let read_gva_into t ~pt ~gva ~dst ~dst_off ~len = read_gva_chunks t ~pt ~gva ~dst ~pos:dst_off ~len
 
 let write_gva_from t ~pt ~gva ~src ~src_off ~len =
-  let pos = ref src_off in
-  Memory.Addr.iter_page_chunks ~addr:gva ~len (fun addr chunk ->
-      let spa = translate_gva t ~pt ~gva:addr ~access:Memory.Perm.Write in
-      Memory.Phys_mem.write_from t.phys ~spa ~src ~src_off:!pos ~len:chunk;
-      pos := !pos + chunk)
+  write_gva_chunks t ~pt ~gva ~src ~pos:src_off ~len
 
 let read_gva t ~pt ~gva ~len =
   let out = Bytes.create len in

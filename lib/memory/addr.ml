@@ -46,17 +46,4 @@ let page_chunks ~addr ~len =
   in
   go addr len []
 
-(** Allocation-free variant of {!page_chunks} for hot paths: calls
-    [f addr chunk] for each per-page piece without materialising the
-    chunk list. *)
-let iter_page_chunks ~addr ~len f =
-  let addr = ref addr and remaining = ref len in
-  while !remaining > 0 do
-    let in_page = page_size - offset !addr in
-    let chunk = if in_page < !remaining then in_page else !remaining in
-    f !addr chunk;
-    addr := !addr + chunk;
-    remaining := !remaining - chunk
-  done
-
 let pp_hex ppf addr = Fmt.pf ppf "0x%x" addr

@@ -12,26 +12,28 @@ type mapping = { spn : int; perms : Perm.t; region : int option }
 
 type t = {
   name : string;
-  entries : (int, mapping) Hashtbl.t; (* dma pfn -> mapping *)
+  entries : mapping Int_tbl.t; (* dma pfn -> mapping *)
 }
 
-let create ~name = { name; entries = Hashtbl.create 256 }
+let create ~name = { name; entries = Int_tbl.create 256 }
 
 let name t = t.name
 
 let map t ~dma ~spa ~perms ~region =
   if not (Addr.is_page_aligned dma && Addr.is_page_aligned spa) then
     invalid_arg "Iommu.map: unaligned";
-  Hashtbl.replace t.entries (Addr.pfn dma) { spn = Addr.pfn spa; perms; region }
+  Int_tbl.replace t.entries (Addr.pfn dma) { spn = Addr.pfn spa; perms; region }
 
-let unmap t ~dma = Hashtbl.remove t.entries (Addr.pfn dma)
+let unmap t ~dma = Int_tbl.remove t.entries (Addr.pfn dma)
+
+(* Returned by a lookup miss, and probed for by physical equality. *)
+let unmapped = { spn = -1; perms = Perm.none; region = None }
 
 let translate t ~dma ~access =
-  match Hashtbl.find_opt t.entries (Addr.pfn dma) with
-  | Some { spn; perms; _ } ->
-      if Perm.allows perms access then Addr.of_pfn spn lor Addr.offset dma
-      else Fault.iommu_fault ~addr:dma ~access "permission denied"
-  | None -> Fault.iommu_fault ~addr:dma ~access "no IOMMU mapping"
+  let m = Int_tbl.find_default t.entries (Addr.pfn dma) unmapped in
+  if m == unmapped then Fault.iommu_fault ~addr:dma ~access "no IOMMU mapping"
+  else if Perm.allows m.perms access then Addr.of_pfn m.spn lor Addr.offset dma
+  else Fault.iommu_fault ~addr:dma ~access "permission denied"
 
 let translate_opt t ~dma ~access =
   match translate t ~dma ~access with
@@ -40,7 +42,7 @@ let translate_opt t ~dma ~access =
 
 (** DMA pfns currently mapped for a given region tag. *)
 let pfns_of_region t region =
-  Hashtbl.fold
+  Int_tbl.fold
     (fun dma_pfn m acc -> if m.region = Some region then dma_pfn :: acc else acc)
     t.entries []
 
@@ -48,9 +50,9 @@ let pfns_of_region t region =
     dropped.  This is the expensive half of a region switch. *)
 let unmap_region t region =
   let victims = pfns_of_region t region in
-  List.iter (Hashtbl.remove t.entries) victims;
+  List.iter (Int_tbl.remove t.entries) victims;
   List.length victims
 
-let mapping_count t = Hashtbl.length t.entries
+let mapping_count t = Int_tbl.length t.entries
 
-let iter t f = Hashtbl.iter (fun dma_pfn m -> f ~dma_pfn m) t.entries
+let iter t f = Int_tbl.iter (fun dma_pfn m -> f ~dma_pfn m) t.entries

@@ -22,11 +22,11 @@ type mmio_handler = {
 type backing = Ram of Bytes.t | Mmio of mmio_handler
 
 type t = {
-  frames : (int, backing) Hashtbl.t; (* touched RAM frames and MMIO pages *)
+  frames : backing Int_tbl.t; (* touched RAM frames and MMIO pages *)
   mutable next_spn : int; (* every spn in [1, next_spn) is allocated *)
 }
 
-let create () = { frames = Hashtbl.create 4096; next_spn = 1 }
+let create () = { frames = Int_tbl.create 4096; next_spn = 1 }
 (* spn 0 is never handed out: a zero address is always a bug. *)
 
 (** Allocate [n] fresh contiguous RAM frames; returns the base spn.
@@ -43,22 +43,24 @@ let alloc_frame t = alloc_frames t 1
 (** Install an MMIO page; returns its spn. *)
 let alloc_mmio t handler =
   let spn = alloc_frame t in
-  Hashtbl.replace t.frames spn (Mmio handler);
+  Int_tbl.replace t.frames spn (Mmio handler);
   spn
 
+(* Returned by a lookup miss, and probed for by physical equality. *)
+let untouched = Ram Bytes.empty
+
 let is_mmio t spn =
-  match Hashtbl.find_opt t.frames spn with
-  | Some (Mmio _) -> true
-  | Some (Ram _) | None -> false
+  match Int_tbl.find_default t.frames spn untouched with Mmio _ -> true | Ram _ -> false
 
 let backing t ~spn ~access =
-  match Hashtbl.find_opt t.frames spn with
-  | Some b -> b
-  | None when spn >= 1 && spn < t.next_spn ->
-      let b = Ram (Bytes.make Addr.page_size '\000') in
-      Hashtbl.replace t.frames spn b;
-      b
-  | None -> Fault.bus_error ~addr:(Addr.of_pfn spn) ~access "unpopulated frame"
+  let b = Int_tbl.find_default t.frames spn untouched in
+  if b != untouched then b
+  else if spn >= 1 && spn < t.next_spn then begin
+    let b = Ram (Bytes.make Addr.page_size '\000') in
+    Int_tbl.add t.frames spn b;
+    b
+  end
+  else Fault.bus_error ~addr:(Addr.of_pfn spn) ~access "unpopulated frame"
 
 (** The backing bytes of RAM frame [spn], materialised if untouched;
     [None] for an MMIO page.  A frame never moves once materialised,
@@ -66,20 +68,41 @@ let backing t ~spn ~access =
 let ram_frame t ~spn ~access =
   match backing t ~spn ~access with Ram frame -> Some frame | Mmio _ -> None
 
+(* One frame's share of a blit: [len] bytes at [spa], all in one
+   frame. *)
+let read_chunk t ~spa ~dst ~pos ~len =
+  match backing t ~spn:(Addr.pfn spa) ~access:Perm.Read with
+  | Ram frame -> Bytes.blit frame (Addr.offset spa) dst pos len
+  | Mmio h -> Bytes.blit (h.mmio_read ~offset:(Addr.offset spa) ~len) 0 dst pos len
+
+let write_chunk t ~spa ~src ~pos ~len =
+  match backing t ~spn:(Addr.pfn spa) ~access:Perm.Write with
+  | Ram frame -> Bytes.blit src pos frame (Addr.offset spa) len
+  | Mmio h -> h.mmio_write ~offset:(Addr.offset spa) (Bytes.sub src pos len)
+
+let rec read_chunks t ~spa ~dst ~pos ~len =
+  if len > 0 then begin
+    let chunk = min len (Addr.page_size - Addr.offset spa) in
+    read_chunk t ~spa ~dst ~pos ~len:chunk;
+    read_chunks t ~spa:(spa + chunk) ~dst ~pos:(pos + chunk) ~len:(len - chunk)
+  end
+
+let rec write_chunks t ~spa ~src ~pos ~len =
+  if len > 0 then begin
+    let chunk = min len (Addr.page_size - Addr.offset spa) in
+    write_chunk t ~spa ~src ~pos ~len:chunk;
+    write_chunks t ~spa:(spa + chunk) ~src ~pos:(pos + chunk) ~len:(len - chunk)
+  end
+
 (** Zero-copy read: blit [len] bytes at system physical address [spa]
     into [dst] at [dst_off].  May cross frame boundaries; no
-    intermediate buffer is allocated (the data-plane fast path). *)
+    intermediate buffer or closure is allocated (the data-plane fast
+    path). *)
 let read_into t ~spa ~dst ~dst_off ~len =
   if len < 0 then invalid_arg "Phys_mem.read_into: negative length";
   if dst_off < 0 || dst_off + len > Bytes.length dst then
     invalid_arg "Phys_mem.read_into: destination range out of bounds";
-  let pos = ref dst_off in
-  Addr.iter_page_chunks ~addr:spa ~len (fun addr chunk ->
-      let spn = Addr.pfn addr and off = Addr.offset addr in
-      (match backing t ~spn ~access:Perm.Read with
-      | Ram frame -> Bytes.blit frame off dst !pos chunk
-      | Mmio h -> Bytes.blit (h.mmio_read ~offset:off ~len:chunk) 0 dst !pos chunk);
-      pos := !pos + chunk)
+  read_chunks t ~spa ~dst ~pos:dst_off ~len
 
 (** Zero-copy write: blit [len] bytes of [src] from [src_off] to
     system physical address [spa]. *)
@@ -87,13 +110,7 @@ let write_from t ~spa ~src ~src_off ~len =
   if len < 0 then invalid_arg "Phys_mem.write_from: negative length";
   if src_off < 0 || src_off + len > Bytes.length src then
     invalid_arg "Phys_mem.write_from: source range out of bounds";
-  let pos = ref src_off in
-  Addr.iter_page_chunks ~addr:spa ~len (fun addr chunk ->
-      let spn = Addr.pfn addr and off = Addr.offset addr in
-      (match backing t ~spn ~access:Perm.Write with
-      | Ram frame -> Bytes.blit src !pos frame off chunk
-      | Mmio h -> h.mmio_write ~offset:off (Bytes.sub src !pos chunk));
-      pos := !pos + chunk)
+  write_chunks t ~spa ~src ~pos:src_off ~len
 
 (** Read [len] bytes at system physical address [spa].  May cross frame
     boundaries. *)

@@ -17,6 +17,9 @@
     Keying: [(space, vfn)] where [space] is 0 for the EPT-only
     gpa→spa cache and the guest page table's id for the combined
     gva→spa cache — one instance serves both kinds of entry for a VM.
+    The pair is packed into one int, [space lsl 40 lor vfn] ({!key}):
+    a vfn of a 52-bit address fits in 40 bits, so distinct pairs never
+    collide, and a probe hashes and compares one immediate.
 
     The cache affects wall-clock speed only: simulated time is charged
     by the cost model upstream, so calibrated experiment output is
@@ -39,7 +42,7 @@ type entry = {
 }
 
 type t = {
-  table : (int * int, entry) Hashtbl.t;
+  table : entry Int_tbl.t;
   stats : stats;
   max_entries : int;
   mutable enabled : bool;
@@ -49,43 +52,53 @@ type t = {
 (* The gpa→spa entries use space id 0; guest page-table ids start at 1. *)
 let gpa_space = 0
 
+let vfn_bits = 40
+
+let[@inline] key ~space ~vfn = (space lsl vfn_bits) lor vfn
+
 let create ?(max_entries = 16384) ?stats () =
   let stats = match stats with Some s -> s | None -> create_stats () in
-  { table = Hashtbl.create 256; stats; max_entries; enabled = true; epoch = 0 }
+  { table = Int_tbl.create 256; stats; max_entries; enabled = true; epoch = 0 }
 
 let stats t = t.stats
-let entry_count t = Hashtbl.length t.table
+let entry_count t = Int_tbl.length t.table
 let enabled t = t.enabled
 let set_enabled t on = t.enabled <- on
 
 let epoch t = t.epoch
 
 let flush t =
-  Hashtbl.reset t.table;
+  Int_tbl.reset t.table;
   t.epoch <- t.epoch + 1
+
+(* Returned by a miss, and probed for by physical equality. *)
+let absent = { spn = -1; pt_perms = Perm.none; ept_perms = Perm.none; pt_gen = -1; ept_gen = -1 }
 
 (** Cache lookup.  Returns the backing frame only when the entry is
     current (both generations match) {e and} the cached leaf
-    permissions allow [access] — anything else is a miss and the
-    caller must perform the full walk (which faults or refills). *)
+    permissions allow [access]; anything else is a miss, [-1], and
+    the caller must perform the full walk (which faults or refills). *)
 let lookup t ~key ~access ~pt_gen ~ept_gen =
-  if not t.enabled then None
+  if not t.enabled then -1
   else
-    match Hashtbl.find_opt t.table key with
-    | Some e
-      when e.pt_gen = pt_gen && e.ept_gen = ept_gen
-           && Perm.allows e.pt_perms access
-           && Perm.allows e.ept_perms access ->
-        t.stats.hits <- t.stats.hits + 1;
-        Some e.spn
-    | Some _ | None ->
-        t.stats.misses <- t.stats.misses + 1;
-        None
+    let e = Int_tbl.find_default t.table key absent in
+    if
+      e != absent && e.pt_gen = pt_gen && e.ept_gen = ept_gen
+      && Perm.allows e.pt_perms access
+      && Perm.allows e.ept_perms access
+    then begin
+      t.stats.hits <- t.stats.hits + 1;
+      e.spn
+    end
+    else begin
+      t.stats.misses <- t.stats.misses + 1;
+      -1
+    end
 
 let install t ~key entry =
   if t.enabled then begin
-    if Hashtbl.length t.table >= t.max_entries then flush t;
-    Hashtbl.replace t.table key entry
+    if Int_tbl.length t.table >= t.max_entries then flush t;
+    Int_tbl.replace t.table key entry
   end
 
 let count_walks t n = t.stats.walks <- t.stats.walks + n

@@ -26,6 +26,11 @@ type t
 (** Space id for EPT-only (gpa→spa) entries; guest-PT ids start at 1. *)
 val gpa_space : int
 
+(** [key ~space ~vfn] packs an entry's key into one int,
+    [space lsl 40 lor vfn]; distinct pairs with [vfn < 2{^40}] and
+    [space < 2{^22}] give distinct keys. *)
+val key : space:int -> vfn:int -> int
+
 (** [create ?max_entries ?stats ()] — [stats] may be shared (e.g. with
     the hypervisor's audit counters); the cache resets wholesale when
     [max_entries] is reached. *)
@@ -47,10 +52,10 @@ val flush : t -> unit
     top of the TLB (the shared-page views) stamp with it. *)
 val epoch : t -> int
 
-(** Returns the backing frame iff the entry is generation-current and
-    its cached permissions allow [access]; counts a hit or miss. *)
-val lookup :
-  t -> key:int * int -> access:Perm.access -> pt_gen:int -> ept_gen:int -> int option
+(** Returns the backing frame iff the entry under [key] is
+    generation-current and its cached permissions allow [access], and
+    [-1] otherwise; counts a hit or miss. *)
+val lookup : t -> key:int -> access:Perm.access -> pt_gen:int -> ept_gen:int -> int
 
-val install : t -> key:int * int -> entry -> unit
+val install : t -> key:int -> entry -> unit
 val count_walks : t -> int -> unit

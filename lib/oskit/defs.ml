@@ -12,7 +12,7 @@ type task = {
   vm : Hypervisor.Vm.t;
   pt : Memory.Guest_pt.t; (* the process's page table *)
   va_alloc : Memory.Allocator.t; (* user virtual-address space *)
-  fds : (int, file) Hashtbl.t;
+  fds : file Memory.Int_tbl.t;
   mutable next_fd : int;
   mutable mmap_cursor : int; (* next free address in the mmap area *)
   mutable vmas : vma list;

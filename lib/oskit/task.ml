@@ -21,7 +21,7 @@ let create ~pid ~pt_id ~name ~vm =
     vm;
     pt = Memory.Guest_pt.create ~id:pt_id ();
     va_alloc = Memory.Allocator.create ~base:user_heap_base ~size:user_heap_size;
-    fds = Hashtbl.create 8;
+    fds = Memory.Int_tbl.create 8;
     next_fd = 3; (* 0-2 reserved, as tradition demands *)
     mmap_cursor = mmap_base;
     vmas = [];

@@ -12,7 +12,7 @@ type 'a result = ('a, Errno.t) Stdlib.result
 let wrap f = try Ok (f ()) with Errno.Unix_error (errno, _) -> Error errno
 
 let lookup_fd task fd =
-  match Hashtbl.find_opt task.fds fd with
+  match Memory.Int_tbl.find_opt task.fds fd with
   | Some file when not file.closed -> file
   | Some _ | None -> Errno.fail Errno.EINVAL "bad file descriptor"
 
@@ -39,7 +39,7 @@ let openf kernel task path : int result =
           dev.open_count <- dev.open_count + 1;
           let fd = task.next_fd in
           task.next_fd <- fd + 1;
-          Hashtbl.replace task.fds fd file;
+          Memory.Int_tbl.replace task.fds fd file;
           fd)
 
 let close kernel task fd : unit result =
@@ -50,7 +50,7 @@ let close kernel task fd : unit result =
       file.closed <- true;
       file.dev.open_count <- file.dev.open_count - 1;
       file.fasync_subscribers <- [];
-      Hashtbl.remove task.fds fd)
+      Memory.Int_tbl.remove task.fds fd)
 
 let set_nonblock _kernel task fd ~nonblock : unit result =
   wrap (fun () -> (lookup_fd task fd).nonblock <- nonblock)

@@ -15,8 +15,8 @@
     [slot_of] is a permutation of all slots: positions below [size]
     name the live slots, positions from [size] on the free ones.  A
     push takes the free slot at position [size]; a pop resets its slot
-    to [dummy] at once — the engine's values are closures over
-    continuations, and a popped one must not be kept alive — and
+    to [dummy] at once — the engine's values may hold continuations,
+    and a popped one must not be kept alive — and
     leaves it at the position the heap just vacated. *)
 
 type 'a t = {

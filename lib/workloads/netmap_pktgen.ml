@@ -112,7 +112,7 @@ let run_batched env ~packets ~batch ?(ops_per_desc = 16) ?(pkt_size = 64) () =
       let gva = mmap env task fd ~len:ring_len ~pgoff:0 in
       let (_ : bytes) = Oskit.Vfs.user_read env.kernel task ~gva ~len:16 in
       let file =
-        match Hashtbl.find_opt task.Oskit.Defs.fds fd with
+        match Memory.Int_tbl.find_opt task.Oskit.Defs.fds fd with
         | Some f -> f
         | None -> failwith "batched pktgen: fd not open"
       in

@@ -182,7 +182,7 @@ let test_release_with_raising_handler_still_cleans_up () =
       (match serve (P.Rfasync { vfd; on = true }) with
       | P.Rok 0 -> ()
       | _ -> Alcotest.fail "fasync failed");
-      let file = (Hashtbl.find link.CB.files vfd).CB.file in
+      let file = (Memory.Int_tbl.find link.CB.files vfd).CB.file in
       Alcotest.(check int) "subscriber armed" 1
         (List.length file.Defs.fasync_subscribers);
       (* release while armed: the driver's handler raises, but the
@@ -193,7 +193,7 @@ let test_release_with_raising_handler_still_cleans_up () =
         (List.length file.Defs.fasync_subscribers);
       Alcotest.(check bool) "file closed" true file.Defs.closed;
       Alcotest.(check int) "open count restored" 0 flaky.Defs.open_count;
-      Alcotest.(check bool) "vfd gone" false (Hashtbl.mem link.CB.files vfd))
+      Alcotest.(check bool) "vfd gone" false (Memory.Int_tbl.mem link.CB.files vfd))
 
 (* ---- per-guest quotas ---- *)
 
@@ -215,7 +215,7 @@ let test_open_vfd_cap () =
       | _ -> Alcotest.fail "first two opens must succeed");
       check_rerr "third open hits the vfd cap" "EBUSY" (open_one ());
       Alcotest.(check int) "quota breach counted" 1 link.CB.quota_breaches;
-      Alcotest.(check int) "only two vfds live" 2 (Hashtbl.length link.CB.files))
+      Alcotest.(check int) "only two vfds live" 2 (Memory.Int_tbl.length link.CB.files))
 
 let test_grant_entry_quota () =
   let config =
@@ -330,7 +330,7 @@ let test_quarantine_isolates_attacker_keeps_victim () =
       Alcotest.(check int) "attacker grants revoked" 0
         (Hypervisor.Grant_table.active_entries table);
       Alcotest.(check int) "attacker files torn down" 0
-        (Hashtbl.length link.CB.files);
+        (Memory.Int_tbl.length link.CB.files);
       let dead = ref 0 and total = ref 0 in
       Paradice.Chan_pool.iter_channels link.CB.pool (fun c ->
           incr total;

@@ -306,14 +306,6 @@ let test_scalars_cross_page_and_mmio () =
 
 (* --- property tests --- *)
 
-let prop_iter_page_chunks_equiv =
-  QCheck.Test.make ~name:"iter_page_chunks visits exactly page_chunks" ~count:500
-    QCheck.(pair (int_bound 100_000) (int_bound 20_000))
-    (fun (addr, len) ->
-      let visited = ref [] in
-      Addr.iter_page_chunks ~addr ~len (fun a l -> visited := (a, l) :: !visited);
-      List.rev !visited = Addr.page_chunks ~addr ~len)
-
 let prop_page_chunks_cover =
   QCheck.Test.make ~name:"page_chunks exactly covers the byte range" ~count:500
     QCheck.(pair (int_bound 100_000) (int_bound 20_000))
@@ -636,14 +628,118 @@ let prop_two_level_walk_consistent =
               | Some spa -> spa = Addr.of_pfn (g + 100_000) + 123))
         (v, g)) model true)
 
+(* --- Int_tbl: the stdlib's hash and iteration order, int keys --- *)
+
+(* Keys from every range the hash folds differently: small, negative,
+   at and above 2^31, and the extremes. *)
+let random_key st =
+  match Random.State.int st 4 with
+  | 0 -> Random.State.int st 1_000_000
+  | 1 -> -Random.State.bits st
+  | 2 -> Random.State.bits st lsl 31 lor Random.State.bits st
+  | _ -> Random.State.full_int st max_int * if Random.State.bool st then 1 else -1
+
+let test_int_tbl_hash_matches_stdlib () =
+  let st = Random.State.make [| 15 |] in
+  let edges = [ 0; 1; -1; max_int; min_int; 1 lsl 31; -(1 lsl 31); (1 lsl 32) - 1; 1 lsl 62 - 1 ] in
+  List.iter
+    (fun k -> Alcotest.(check int) (Printf.sprintf "hash %d" k) (Hashtbl.hash k) (Int_tbl.hash k))
+    edges;
+  let mismatches = ref 0 in
+  for _ = 1 to 1_000_000 do
+    let k = random_key st in
+    if Int_tbl.hash k <> Hashtbl.hash k then incr mismatches
+  done;
+  Alcotest.(check int) "10^6 random keys hash as Hashtbl.hash" 0 !mismatches
+
+(* The same random add/replace/remove calls, growing through several
+   resizes, leave both tables with the same bindings in the same fold
+   and iter order. *)
+let test_int_tbl_order_matches_stdlib () =
+  let st = Random.State.make [| 16 |] in
+  let ours = Int_tbl.create 8 and std = Hashtbl.create 8 in
+  (* a narrow key range for repeats, mixed with wide keys *)
+  let key () = if Random.State.bool st then Random.State.int st 3_000 else random_key st in
+  let check_same what =
+    let fold_ours = Int_tbl.fold (fun k v acc -> (k, v) :: acc) ours [] in
+    let fold_std = Hashtbl.fold (fun k v acc -> (k, v) :: acc) std [] in
+    Alcotest.(check (list (pair int int))) (what ^ ": fold order") fold_std fold_ours;
+    let iter_ours = ref [] and iter_std = ref [] in
+    Int_tbl.iter (fun k v -> iter_ours := (k, v) :: !iter_ours) ours;
+    Hashtbl.iter (fun k v -> iter_std := (k, v) :: !iter_std) std;
+    Alcotest.(check (list (pair int int))) (what ^ ": iter order") !iter_std !iter_ours;
+    Alcotest.(check int) (what ^ ": length") (Hashtbl.length std) (Int_tbl.length ours)
+  in
+  for step = 1 to 20_000 do
+    let k = key () in
+    (match Random.State.int st 10 with
+    | 0 | 1 | 2 ->
+        Int_tbl.add ours k step;
+        Hashtbl.add std k step
+    | 3 | 4 | 5 | 6 ->
+        Int_tbl.replace ours k step;
+        Hashtbl.replace std k step
+    | _ ->
+        Int_tbl.remove ours k;
+        Hashtbl.remove std k);
+    Alcotest.(check (option int)) "find_opt" (Hashtbl.find_opt std k) (Int_tbl.find_opt ours k);
+    if step <= 3_000 || step mod 100 = 0 then check_same (Printf.sprintf "after %d calls" step)
+  done;
+  Int_tbl.reset ours;
+  Hashtbl.reset std;
+  check_same "after reset"
+
+(* A resize while a fold is running must not disturb the fold. *)
+let test_int_tbl_grow_during_fold () =
+  let t = Int_tbl.create 16 in
+  for k = 0 to 31 do
+    Int_tbl.replace t k k
+  done;
+  let seen =
+    Int_tbl.fold
+      (fun k _ acc ->
+        if k = 0 then
+          for j = 1_000 to 1_200 do
+            Int_tbl.replace t j j
+          done;
+        acc + 1)
+      t 0
+  in
+  Alcotest.(check int) "fold saw exactly the bindings it started with" 32 seen;
+  Alcotest.(check int) "the added bindings are all present" 233 (Int_tbl.length t);
+  Alcotest.(check (option int)) "lookup after the copying resize" (Some 1_100)
+    (Int_tbl.find_opt t 1_100)
+
+(* Packed software-TLB keys: a key decodes back to its (space, vfn)
+   pair, so distinct pairs in range never share a key. *)
+let prop_tlb_keys_distinct =
+  let pair_gen =
+    QCheck.(pair (int_bound ((1 lsl 22) - 1)) (int_range 0 0xff_ffff_ffff))
+  in
+  QCheck.Test.make ~name:"distinct (space, vfn) pairs pack to distinct TLB keys" ~count:2000
+    (QCheck.pair pair_gen pair_gen)
+    (fun ((s1, v1), (s2, v2)) ->
+      let k1 = Tlb.key ~space:s1 ~vfn:v1 and k2 = Tlb.key ~space:s2 ~vfn:v2 in
+      k1 lsr 40 = s1
+      && k1 land 0xff_ffff_ffff = v1
+      && (k1 = k2) = (s1 = s2 && v1 = v2)
+      && Tlb.key ~space:s1 ~vfn:0xff_ffff_ffff <> Tlb.key ~space:(s1 + 1) ~vfn:0)
+
 let suites =
   [
+    ( "memory.int_tbl",
+      [
+        Alcotest.test_case "hash equals Hashtbl.hash" `Quick test_int_tbl_hash_matches_stdlib;
+        Alcotest.test_case "iteration order equals Hashtbl" `Quick
+          test_int_tbl_order_matches_stdlib;
+        Alcotest.test_case "resize during fold" `Quick test_int_tbl_grow_during_fold;
+        QCheck_alcotest.to_alcotest prop_tlb_keys_distinct;
+      ] );
     ( "memory.addr",
       [
         Alcotest.test_case "page arithmetic" `Quick test_addr_arithmetic;
         Alcotest.test_case "page chunks" `Quick test_page_chunks;
         QCheck_alcotest.to_alcotest prop_page_chunks_cover;
-        QCheck_alcotest.to_alcotest prop_iter_page_chunks_equiv;
       ] );
     ("memory.perm", [ Alcotest.test_case "permission lattice" `Quick test_perm_lattice ]);
     ( "memory.phys_mem",

@@ -248,7 +248,7 @@ let test_batch_end_to_end () =
       let app = M.spawn_app m g.M.kernel ~name:"batcher" in
       let k = g.M.kernel in
       let fd = Fixtures.ok (Oskit.Vfs.openf k app "/dev/null0") in
-      let file = Option.get (Hashtbl.find_opt app.Oskit.Defs.fds fd) in
+      let file = Option.get (Memory.Int_tbl.find_opt app.Oskit.Defs.fds fd) in
       (* five no-op ioctls ride one ring slot *)
       let results =
         Paradice.Cvd_front.batch_ioctl g.M.frontend app file

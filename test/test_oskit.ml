@@ -214,7 +214,7 @@ let test_fasync_sigio () =
       let hits = ref 0 in
       Task.on_sigio f.task (fun () -> incr hits);
       ok (Vfs.fasync f.kernel f.task fd ~on:true);
-      let file = Hashtbl.find f.task.Defs.fds fd in
+      let file = Memory.Int_tbl.find f.task.Defs.fds fd in
       Vfs.kill_fasync file;
       Vfs.kill_fasync file;
       Alcotest.(check int) "two SIGIOs delivered" 2 !hits;

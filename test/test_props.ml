@@ -249,6 +249,9 @@ type instr =
   | Spawn of instr list
   | Park  (** suspend until woken *)
   | Wake  (** wake the oldest parked process, twice (the second is ignored) *)
+  | Raise  (** the process raises {!Raised}, which escapes [run] *)
+
+exception Raised
 
 type phase = { spawns : instr list list; until : float option }
 
@@ -267,6 +270,7 @@ let gen_prog =
             (2, map (fun d -> At d) gen_delay);
             (2, return Park);
             (2, return Wake);
+            (1, return Raise);
           ]
          @ if depth = 0 then [] else [ (1, map (fun p -> Spawn p) (prog (depth - 1))) ]))
   in
@@ -290,7 +294,8 @@ let rec pp_prog p =
            | At d -> Printf.sprintf "at %g" d
            | Spawn p -> "spawn " ^ pp_prog p
            | Park -> "park"
-           | Wake -> "wake")
+           | Wake -> "wake"
+           | Raise -> "raise")
          p)
   ^ "]"
 
@@ -332,16 +337,25 @@ module Interp (E : ENGINE) = struct
                       wake ())
               | Spawn p -> start p
               | Park -> E.suspend (fun w -> Queue.add w parked)
-              | Wake -> wake ())
+              | Wake -> wake ()
+              | Raise -> raise Raised)
             prog;
           log := (pid, -1, E.now e) :: !log)
+    in
+    (* a raise escapes [run]: log it and run on *)
+    let rec run ?until () =
+      match E.run ?until e with
+      | () -> ()
+      | exception Raised ->
+          log := (-1, -1, E.now e) :: !log;
+          run ?until ()
     in
     List.iter
       (fun ph ->
         List.iter start ph.spawns;
-        E.run ?until:ph.until e)
+        run ?until:ph.until ())
       phases;
-    E.run e;
+    run ();
     (List.rev !log, E.now e)
 end
 
@@ -349,7 +363,7 @@ module Run_sim = Interp (Sim.Engine)
 module Run_ref = Interp (Ref_engine)
 
 let prop_engine_matches_single_heap =
-  QCheck.Test.make ~name:"two-tier engine runs in single-heap (time, seq) order" ~count:500
+  QCheck.Test.make ~name:"two-tier engine runs in single-heap (time, seq) order" ~count:2000
     (QCheck.make ~print:pp_phases
        QCheck.Gen.(
          map2

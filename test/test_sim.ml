@@ -118,6 +118,109 @@ let test_deadlock_detection () =
   Sim.Engine.run eng;
   Alcotest.(check bool) "stuck process detected" true (Sim.Engine.deadlocked eng)
 
+(* ---- the uncontested-wait bypass ----
+
+   A wait whose own event would be the next one run skips the queue.
+   These cases sit at the edges of that condition. *)
+
+let test_wait_stops_at_until () =
+  let eng = Sim.Engine.create () in
+  let steps = ref [] in
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.wait 1.;
+      steps := Sim.Engine.now eng :: !steps;
+      Sim.Engine.wait 1.;
+      steps := Sim.Engine.now eng :: !steps;
+      (* alone in the queue, but past [until] *)
+      Sim.Engine.wait 10.;
+      steps := Sim.Engine.now eng :: !steps);
+  Sim.Engine.run ~until:5. eng;
+  Alcotest.(check (list (float 0.))) "waits inside the limit ran" [ 1.; 2. ] (List.rev !steps);
+  check_float "clock stops exactly at until" 5. (Sim.Engine.now eng);
+  Sim.Engine.run ~until:12. eng;
+  Alcotest.(check (list (float 0.))) "the crossing wait resumes on the next run"
+    [ 1.; 2.; 12. ] (List.rev !steps);
+  (* a wait landing exactly on [until] is inside it *)
+  let eng = Sim.Engine.create () in
+  let at = ref nan in
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.wait 5.;
+      at := Sim.Engine.now eng);
+  Sim.Engine.run ~until:5. eng;
+  check_float "a wait ending on until runs" 5. !at
+
+let test_wait_zero_yields_to_ready () =
+  let eng = Sim.Engine.create () in
+  let log = ref [] in
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.spawn eng (fun () -> log := "b" :: !log);
+      Sim.Engine.wait 0.;
+      log := "a" :: !log;
+      Sim.Engine.at eng ~delay:0. (fun () -> log := "at" :: !log);
+      Sim.Engine.yield ();
+      log := "a2" :: !log;
+      (* nothing else queued: the yield returns at once *)
+      Sim.Engine.yield ();
+      log := "a3" :: !log);
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "wait 0 lets ready events run first"
+    [ "b"; "a"; "at"; "a2"; "a3" ] (List.rev !log);
+  (* a heap event due at exactly [now +. d] still runs first: it was
+     queued earlier *)
+  let eng = Sim.Engine.create () in
+  let log = ref [] in
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.at eng ~delay:3. (fun () -> log := "timer" :: !log);
+      Sim.Engine.wait 3.;
+      log := "waiter" :: !log);
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "an earlier event at the same time goes first"
+    [ "timer"; "waiter" ] (List.rev !log)
+
+let raises_unhandled eng =
+  match Sim.Engine.run eng with
+  | () -> false
+  | exception Effect.Unhandled _ -> true
+
+let test_wait_in_callback_unhandled () =
+  let eng = Sim.Engine.create () in
+  Sim.Engine.at eng ~delay:1. (fun () -> Sim.Engine.wait 1.);
+  Alcotest.(check bool) "wait in an at callback raises Effect.Unhandled" true
+    (raises_unhandled eng);
+  (* the same after processes have run on this engine *)
+  let eng = Sim.Engine.create () in
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.wait 1.;
+      Sim.Engine.at eng ~delay:1. (fun () -> Sim.Engine.wait 1.));
+  Alcotest.(check bool) "also after a process ran" true (raises_unhandled eng);
+  Alcotest.(check bool) "and outside any run" true
+    (match Sim.Engine.wait 1. with () -> false | exception Effect.Unhandled _ -> true)
+
+let test_wait_after_process_raised () =
+  let eng = Sim.Engine.create () in
+  let times = ref [] in
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.wait 1.;
+      failwith "boom");
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.wait 2.;
+      times := Sim.Engine.now eng :: !times;
+      Sim.Engine.wait 3.;
+      times := Sim.Engine.now eng :: !times);
+  (match Sim.Engine.run eng with
+  | () -> Alcotest.fail "the raising process did not raise"
+  | exception Failure _ -> ());
+  check_float "stopped where the process raised" 1. (Sim.Engine.now eng);
+  Alcotest.(check int) "the raiser is no longer live" 1 (Sim.Engine.live_processes eng);
+  (* a wait the bypass could serve, were the raise to leave the
+     process flag set *)
+  Sim.Engine.at eng ~delay:0.5 (fun () -> Sim.Engine.wait 0.1);
+  Alcotest.(check bool) "a callback's wait still raises" true (raises_unhandled eng);
+  Sim.Engine.run eng;
+  Alcotest.(check (list (float 0.))) "the other process keeps its times" [ 2.; 5. ]
+    (List.rev !times);
+  Alcotest.(check int) "all processes done" 0 (Sim.Engine.live_processes eng)
+
 let test_mailbox_fifo () =
   let eng = Sim.Engine.create () in
   let mb = Sim.Mailbox.create eng in
@@ -500,6 +603,11 @@ let suites =
         Alcotest.test_case "suspend timeout fires" `Quick test_suspend_timeout_fires;
         Alcotest.test_case "suspend timeout won by waker" `Quick test_suspend_timeout_won_by_waker;
         Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
+        Alcotest.test_case "wait crossing until stops at until" `Quick test_wait_stops_at_until;
+        Alcotest.test_case "wait 0 yields to ready events" `Quick test_wait_zero_yields_to_ready;
+        Alcotest.test_case "wait in a callback is unhandled" `Quick
+          test_wait_in_callback_unhandled;
+        Alcotest.test_case "wait after a process raised" `Quick test_wait_after_process_raised;
         QCheck_alcotest.to_alcotest prop_engine_time_monotonic;
       ] );
     ( "sim.mailbox",

@@ -134,11 +134,11 @@ let test_epoch_moves_when_entries_drop () =
       ept_gen = 0 }
   in
   let e0 = Memory.Tlb.epoch tlb in
-  Memory.Tlb.install tlb ~key:(Memory.Tlb.gpa_space, 1) (entry 10);
-  Memory.Tlb.install tlb ~key:(Memory.Tlb.gpa_space, 1) (entry 10);
-  Memory.Tlb.install tlb ~key:(Memory.Tlb.gpa_space, 2) (entry 11);
+  Memory.Tlb.install tlb ~key:(Memory.Tlb.key ~space:Memory.Tlb.gpa_space ~vfn:1) (entry 10);
+  Memory.Tlb.install tlb ~key:(Memory.Tlb.key ~space:Memory.Tlb.gpa_space ~vfn:1) (entry 10);
+  Memory.Tlb.install tlb ~key:(Memory.Tlb.key ~space:Memory.Tlb.gpa_space ~vfn:2) (entry 11);
   Alcotest.(check int) "fills below capacity keep the epoch" e0 (Memory.Tlb.epoch tlb);
-  Memory.Tlb.install tlb ~key:(Memory.Tlb.gpa_space, 3) (entry 12);
+  Memory.Tlb.install tlb ~key:(Memory.Tlb.key ~space:Memory.Tlb.gpa_space ~vfn:3) (entry 12);
   Alcotest.(check int) "wholesale reset at max_entries moves it" (e0 + 1)
     (Memory.Tlb.epoch tlb);
   Alcotest.(check int) "only the new entry survives" 1 (Memory.Tlb.entry_count tlb);
@@ -220,6 +220,44 @@ let test_grant_cache_invalidated_on_revoke_all () =
     | _ -> false
     | exception Hyp.Rejected _ -> true)
 
+(* The grant cache and the process registry pack (vm id, x) into one
+   int.  A grant ref or pid wider than 32 bits must not reach another
+   VM's entry through that packing. *)
+let test_packed_keys_do_not_alias_vms () =
+  let hyp = make_hyp () in
+  let victim, victim_pt = make_guest_with_process hyp in
+  let driver = Hyp.create_vm hyp ~name:"driver" ~kind:Vm.Driver ~mem_bytes:(4 * mib) in
+  let other, other_pt = make_guest_with_process hyp in
+  let victim_table = Hyp.setup_grant_table hyp victim in
+  let other_table = Hyp.setup_grant_table hyp other in
+  (* one declaration each, so both tables read the same generation
+     and an aliased cache entry would look current *)
+  let (_ : int) =
+    Grant_table.declare victim_table [ Grant_table.Copy_to_user { addr = 0x2000; len = 8 } ]
+  in
+  let r =
+    Grant_table.declare other_table [ Grant_table.Copy_from_user { addr = 0x1000; len = 64 } ]
+  in
+  let (_ : bytes) =
+    Hyp.copy_from_process hyp
+      { Hyp.caller = driver; target = other; pt = other_pt; grant_ref = r }
+      ~gva:0x1000 ~len:64
+  in
+  let alias x = (Vm.id other lsl 32) lor x - (Vm.id victim lsl 32) in
+  Alcotest.(check bool) "a wide grant ref is not served from another VM's cache entry" true
+    (match
+       Hyp.copy_from_process hyp
+         { Hyp.caller = driver; target = victim; pt = victim_pt; grant_ref = alias r }
+         ~gva:0x1000 ~len:64
+     with
+    | _ -> false
+    | exception Hyp.Rejected _ -> true);
+  Hyp.register_process hyp other ~pid:7 ~pt:other_pt;
+  Alcotest.(check bool) "a wide pid does not find another VM's process" true
+    (Hyp.find_process_pt hyp victim ~pid:(alias 7) = None);
+  Alcotest.(check bool) "the real pair still resolves" true
+    (match Hyp.find_process_pt hyp other ~pid:7 with Some pt -> pt == other_pt | None -> false)
+
 (* ---- unmap hypercall caller validation (the PR's bugfix) ---- *)
 
 let test_unmap_guest_caller_rejected () =
@@ -283,6 +321,8 @@ let suites =
           test_grant_cache_invalidated_on_release;
         Alcotest.test_case "revoke_all invalidates" `Quick
           test_grant_cache_invalidated_on_revoke_all;
+        Alcotest.test_case "packed keys do not alias VMs" `Quick
+          test_packed_keys_do_not_alias_vms;
       ] );
     ( "tlb.unmap_validation",
       [

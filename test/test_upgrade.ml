@@ -195,7 +195,7 @@ let test_stale_retryable_vs_dead () =
       let k = g.M.kernel in
       let fd = ok (Vfs.openf k app "/dev/null0") in
       let file =
-        match Hashtbl.find_opt app.Defs.fds fd with
+        match Memory.Int_tbl.find_opt app.Defs.fds fd with
         | Some f -> f
         | None -> Alcotest.fail "fd not in table"
       in
