@@ -148,47 +148,43 @@ let scalar_frame v ~access ~offset ~width =
   if in_page offset + width <= Memory.Addr.page_size then frame v ~access offset
   else no_frame
 
-(* One within-page chunk [off, off + chunk) of the region into
-   [dst] at [pos]. *)
-let read_chunk v ~dst ~pos off chunk =
+(* One within-page chunk [off, off + chunk) of the region into or
+   out of [buf] at [pos]. *)
+let read_chunk v buf ~pos off chunk =
   let f = frame v ~access:Memory.Perm.Read off in
-  if f != no_frame then Bytes.blit f (in_page off) dst pos chunk
+  if f != no_frame then Bytes.blit f (in_page off) buf pos chunk
   else
     match v.owner with
-    | Guest { vm; gpa } -> Vm.read_gpa_into vm ~gpa:(gpa + off) ~dst ~dst_off:pos ~len:chunk
+    | Guest { vm; gpa } -> Vm.read_gpa_into vm ~gpa:(gpa + off) ~dst:buf ~dst_off:pos ~len:chunk
     | Hypervisor ->
-        Memory.Phys_mem.read_into v.region.phys ~spa:(spa_of v off) ~dst ~dst_off:pos ~len:chunk
+        Memory.Phys_mem.read_into v.region.phys ~spa:(spa_of v off) ~dst:buf ~dst_off:pos
+          ~len:chunk
 
-let write_chunk v ~src ~pos off chunk =
+let write_chunk v buf ~pos off chunk =
   let f = frame v ~access:Memory.Perm.Write off in
-  if f != no_frame then Bytes.blit src pos f (in_page off) chunk
+  if f != no_frame then Bytes.blit buf pos f (in_page off) chunk
   else
     match v.owner with
-    | Guest { vm; gpa } -> Vm.write_gpa_from vm ~gpa:(gpa + off) ~src ~src_off:pos ~len:chunk
+    | Guest { vm; gpa } -> Vm.write_gpa_from vm ~gpa:(gpa + off) ~src:buf ~src_off:pos ~len:chunk
     | Hypervisor ->
-        Memory.Phys_mem.write_from v.region.phys ~spa:(spa_of v off) ~src ~src_off:pos ~len:chunk
+        Memory.Phys_mem.write_from v.region.phys ~spa:(spa_of v off) ~src:buf ~src_off:pos
+          ~len:chunk
 
-(* Split a range into within-page chunks with plain recursion: a ring
-   slot is a single chunk, and no per-call closure is allocated. *)
-let rec read_chunks v ~dst ~pos off len =
+(* Split a range into within-page chunks with plain recursion, handing
+   each to [chunk], a top-level function: a ring slot is a single
+   chunk, and no per-call closure is allocated. *)
+let rec page_chunks chunk v buf ~pos off len =
   if len > 0 then begin
-    let chunk = min len (Memory.Addr.page_size - in_page off) in
-    read_chunk v ~dst ~pos off chunk;
-    read_chunks v ~dst ~pos:(pos + chunk) (off + chunk) (len - chunk)
-  end
-
-let rec write_chunks v ~src ~pos off len =
-  if len > 0 then begin
-    let chunk = min len (Memory.Addr.page_size - in_page off) in
-    write_chunk v ~src ~pos off chunk;
-    write_chunks v ~src ~pos:(pos + chunk) (off + chunk) (len - chunk)
+    let n = min len (Memory.Addr.page_size - in_page off) in
+    chunk v buf ~pos off n;
+    page_chunks chunk v buf ~pos:(pos + n) (off + n) (len - n)
   end
 
 let read_into v ~offset ~len ~dst ~dst_off =
   check_bounds v.region ~offset ~len;
   if dst_off < 0 || dst_off + len > Bytes.length dst then
     invalid_arg "Shared_page.read_into: destination too small";
-  read_chunks v ~dst ~pos:dst_off offset len
+  page_chunks read_chunk v dst ~pos:dst_off offset len
 
 let read v ~offset ~len =
   let out = Bytes.create len in
@@ -198,7 +194,7 @@ let read v ~offset ~len =
 let write v ~offset data =
   let len = Bytes.length data in
   check_bounds v.region ~offset ~len;
-  write_chunks v ~src:data ~pos:0 offset len
+  page_chunks write_chunk v data ~pos:0 offset len
 
 let read_u32 v ~offset =
   let f = scalar_frame v ~access:Memory.Perm.Read ~offset ~width:4 in

@@ -76,48 +76,38 @@ let translate_gva t ~pt ~gva ~access =
     spa
   end
 
-(* Blits a byte range one page at a time: each page is one
-   translation plus one frame blit.  Top-level loops, so a copy
-   allocates no closure. *)
-let rec read_gpa_chunks t ~gpa ~dst ~pos ~len =
-  if len > 0 then begin
-    let chunk = min len (Memory.Addr.page_size - Memory.Addr.offset gpa) in
-    let spa = translate_gpa t ~gpa ~access:Memory.Perm.Read in
-    Memory.Phys_mem.read_into t.phys ~spa ~dst ~dst_off:pos ~len:chunk;
-    read_gpa_chunks t ~gpa:(gpa + chunk) ~dst ~pos:(pos + chunk) ~len:(len - chunk)
-  end
+(* The per-page steps of a range copy, as top-level functions: a
+   translation for each address kind and a frame blit each way. *)
+let gpa_page t () addr access = translate_gpa t ~gpa:addr ~access
+let gva_page t pt addr access = translate_gva t ~pt ~gva:addr ~access
 
-let rec write_gpa_chunks t ~gpa ~src ~pos ~len =
-  if len > 0 then begin
-    let chunk = min len (Memory.Addr.page_size - Memory.Addr.offset gpa) in
-    let spa = translate_gpa t ~gpa ~access:Memory.Perm.Write in
-    Memory.Phys_mem.write_from t.phys ~spa ~src ~src_off:pos ~len:chunk;
-    write_gpa_chunks t ~gpa:(gpa + chunk) ~src ~pos:(pos + chunk) ~len:(len - chunk)
-  end
+let read_page phys ~spa buf ~pos ~len =
+  Memory.Phys_mem.read_into phys ~spa ~dst:buf ~dst_off:pos ~len
 
-let rec read_gva_chunks t ~pt ~gva ~dst ~pos ~len =
-  if len > 0 then begin
-    let chunk = min len (Memory.Addr.page_size - Memory.Addr.offset gva) in
-    let spa = translate_gva t ~pt ~gva ~access:Memory.Perm.Read in
-    Memory.Phys_mem.read_into t.phys ~spa ~dst ~dst_off:pos ~len:chunk;
-    read_gva_chunks t ~pt ~gva:(gva + chunk) ~dst ~pos:(pos + chunk) ~len:(len - chunk)
-  end
+let write_page phys ~spa buf ~pos ~len =
+  Memory.Phys_mem.write_from phys ~spa ~src:buf ~src_off:pos ~len
 
-let rec write_gva_chunks t ~pt ~gva ~src ~pos ~len =
+(* Copies a byte range one page at a time: each page is one
+   [translate] plus one [blit].  Both are passed as top-level
+   functions, so a copy allocates no closure. *)
+let rec copy_pages translate blit t space ~access ~addr buf ~pos ~len =
   if len > 0 then begin
-    let chunk = min len (Memory.Addr.page_size - Memory.Addr.offset gva) in
-    let spa = translate_gva t ~pt ~gva ~access:Memory.Perm.Write in
-    Memory.Phys_mem.write_from t.phys ~spa ~src ~src_off:pos ~len:chunk;
-    write_gva_chunks t ~pt ~gva:(gva + chunk) ~src ~pos:(pos + chunk) ~len:(len - chunk)
+    let chunk = min len (Memory.Addr.page_size - Memory.Addr.offset addr) in
+    let spa = translate t space addr access in
+    blit t.phys ~spa buf ~pos ~len:chunk;
+    copy_pages translate blit t space ~access ~addr:(addr + chunk) buf ~pos:(pos + chunk)
+      ~len:(len - chunk)
   end
 
 (** CPU access to guest-physical memory from inside the VM: the
     hardware walks the EPT with permission checks, so reads of
     protected-region pages raise {!Memory.Fault.Ept_violation} exactly
     as §4.2 requires. *)
-let read_gpa_into t ~gpa ~dst ~dst_off ~len = read_gpa_chunks t ~gpa ~dst ~pos:dst_off ~len
+let read_gpa_into t ~gpa ~dst ~dst_off ~len =
+  copy_pages gpa_page read_page t () ~access:Memory.Perm.Read ~addr:gpa dst ~pos:dst_off ~len
 
-let write_gpa_from t ~gpa ~src ~src_off ~len = write_gpa_chunks t ~gpa ~src ~pos:src_off ~len
+let write_gpa_from t ~gpa ~src ~src_off ~len =
+  copy_pages gpa_page write_page t () ~access:Memory.Perm.Write ~addr:gpa src ~pos:src_off ~len
 
 let read_gpa t ~gpa ~len =
   let out = Bytes.create len in
@@ -131,10 +121,11 @@ let write_gpa t ~gpa data =
     (guest PT then EPT), the path every simulated application load and
     store takes.  A page-granular gva chunk maps into a single frame,
     so each chunk is one translation plus one blit. *)
-let read_gva_into t ~pt ~gva ~dst ~dst_off ~len = read_gva_chunks t ~pt ~gva ~dst ~pos:dst_off ~len
+let read_gva_into t ~pt ~gva ~dst ~dst_off ~len =
+  copy_pages gva_page read_page t pt ~access:Memory.Perm.Read ~addr:gva dst ~pos:dst_off ~len
 
 let write_gva_from t ~pt ~gva ~src ~src_off ~len =
-  write_gva_chunks t ~pt ~gva ~src ~pos:src_off ~len
+  copy_pages gva_page write_page t pt ~access:Memory.Perm.Write ~addr:gva src ~pos:src_off ~len
 
 let read_gva t ~pt ~gva ~len =
   let out = Bytes.create len in

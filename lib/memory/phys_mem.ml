@@ -70,28 +70,23 @@ let ram_frame t ~spn ~access =
 
 (* One frame's share of a blit: [len] bytes at [spa], all in one
    frame. *)
-let read_chunk t ~spa ~dst ~pos ~len =
+let read_chunk t ~spa dst ~pos ~len =
   match backing t ~spn:(Addr.pfn spa) ~access:Perm.Read with
   | Ram frame -> Bytes.blit frame (Addr.offset spa) dst pos len
   | Mmio h -> Bytes.blit (h.mmio_read ~offset:(Addr.offset spa) ~len) 0 dst pos len
 
-let write_chunk t ~spa ~src ~pos ~len =
+let write_chunk t ~spa src ~pos ~len =
   match backing t ~spn:(Addr.pfn spa) ~access:Perm.Write with
   | Ram frame -> Bytes.blit src pos frame (Addr.offset spa) len
   | Mmio h -> h.mmio_write ~offset:(Addr.offset spa) (Bytes.sub src pos len)
 
-let rec read_chunks t ~spa ~dst ~pos ~len =
+(* Splits a range at frame boundaries and hands each piece to [chunk],
+   a top-level function, so a copy allocates no closure. *)
+let rec frame_chunks chunk t ~spa buf ~pos ~len =
   if len > 0 then begin
-    let chunk = min len (Addr.page_size - Addr.offset spa) in
-    read_chunk t ~spa ~dst ~pos ~len:chunk;
-    read_chunks t ~spa:(spa + chunk) ~dst ~pos:(pos + chunk) ~len:(len - chunk)
-  end
-
-let rec write_chunks t ~spa ~src ~pos ~len =
-  if len > 0 then begin
-    let chunk = min len (Addr.page_size - Addr.offset spa) in
-    write_chunk t ~spa ~src ~pos ~len:chunk;
-    write_chunks t ~spa:(spa + chunk) ~src ~pos:(pos + chunk) ~len:(len - chunk)
+    let n = min len (Addr.page_size - Addr.offset spa) in
+    chunk t ~spa buf ~pos ~len:n;
+    frame_chunks chunk t ~spa:(spa + n) buf ~pos:(pos + n) ~len:(len - n)
   end
 
 (** Zero-copy read: blit [len] bytes at system physical address [spa]
@@ -102,7 +97,7 @@ let read_into t ~spa ~dst ~dst_off ~len =
   if len < 0 then invalid_arg "Phys_mem.read_into: negative length";
   if dst_off < 0 || dst_off + len > Bytes.length dst then
     invalid_arg "Phys_mem.read_into: destination range out of bounds";
-  read_chunks t ~spa ~dst ~pos:dst_off ~len
+  frame_chunks read_chunk t ~spa dst ~pos:dst_off ~len
 
 (** Zero-copy write: blit [len] bytes of [src] from [src_off] to
     system physical address [spa]. *)
@@ -110,7 +105,7 @@ let write_from t ~spa ~src ~src_off ~len =
   if len < 0 then invalid_arg "Phys_mem.write_from: negative length";
   if src_off < 0 || src_off + len > Bytes.length src then
     invalid_arg "Phys_mem.write_from: source range out of bounds";
-  write_chunks t ~spa ~src ~pos:src_off ~len
+  frame_chunks write_chunk t ~spa src ~pos:src_off ~len
 
 (** Read [len] bytes at system physical address [spa].  May cross frame
     boundaries. *)

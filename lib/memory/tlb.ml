@@ -17,9 +17,12 @@
     Keying: [(space, vfn)] where [space] is 0 for the EPT-only
     gpa→spa cache and the guest page table's id for the combined
     gva→spa cache — one instance serves both kinds of entry for a VM.
-    The pair is packed into one int, [space lsl 40 lor vfn] ({!key}):
-    a vfn of a 52-bit address fits in 40 bits, so distinct pairs never
-    collide, and a probe hashes and compares one immediate.
+    The pair is packed into one int, [space lsl 40 lor vfn] ({!key}),
+    so a probe hashes and compares one immediate.  Only pairs with a
+    40-bit vfn and a 22-bit space pack without colliding; any other
+    pair (a gva or gpa at or above 2{^52}, or negative) gets {!no_key},
+    which always misses and is never installed, so such an address
+    reaches the walk and faults there exactly as with the cache off.
 
     The cache affects wall-clock speed only: simulated time is charged
     by the cost model upstream, so calibrated experiment output is
@@ -53,8 +56,13 @@ type t = {
 let gpa_space = 0
 
 let vfn_bits = 40
+let space_bits = Sys.int_size - 1 - vfn_bits
 
-let[@inline] key ~space ~vfn = (space lsl vfn_bits) lor vfn
+let no_key = -1
+
+let[@inline] key ~space ~vfn =
+  if vfn lsr vfn_bits = 0 && space lsr space_bits = 0 then (space lsl vfn_bits) lor vfn
+  else no_key
 
 let create ?(max_entries = 16384) ?stats () =
   let stats = match stats with Some s -> s | None -> create_stats () in
@@ -96,7 +104,7 @@ let lookup t ~key ~access ~pt_gen ~ept_gen =
     end
 
 let install t ~key entry =
-  if t.enabled then begin
+  if t.enabled && key <> no_key then begin
     if Int_tbl.length t.table >= t.max_entries then flush t;
     Int_tbl.replace t.table key entry
   end

@@ -27,9 +27,14 @@ type t
 val gpa_space : int
 
 (** [key ~space ~vfn] packs an entry's key into one int,
-    [space lsl 40 lor vfn]; distinct pairs with [vfn < 2{^40}] and
-    [space < 2{^22}] give distinct keys. *)
+    [space lsl 40 lor vfn], when [0 <= vfn < 2{^40}] and
+    [0 <= space < 2{^22}], so distinct such pairs give distinct keys;
+    any other pair gets {!no_key}. *)
 val key : space:int -> vfn:int -> int
+
+(** The key of a pair that does not pack: {!lookup} misses on it and
+    {!install} ignores it, so the caller always walks. *)
+val no_key : int
 
 (** [create ?max_entries ?stats ()] — [stats] may be shared (e.g. with
     the hypervisor's audit counters); the cache resets wholesale when

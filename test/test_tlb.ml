@@ -258,6 +258,39 @@ let test_packed_keys_do_not_alias_vms () =
   Alcotest.(check bool) "the real pair still resolves" true
     (match Hyp.find_process_pt hyp other ~pid:7 with Some pt -> pt == other_pt | None -> false)
 
+(* The TLB packs (space, vfn) into one int.  An address whose vfn
+   does not fit the packing must not reach a cached entry through it:
+   it walks and is refused exactly as with the cache off.  With page
+   table 1, both the gva and the gpa [(1 lsl 52) lor a] pack onto the
+   cached gva entry of [a]. *)
+let test_out_of_range_addresses_walk () =
+  let check_refused ~tlb_on =
+    let hyp = make_hyp () in
+    let guest = Hyp.create_vm hyp ~name:"guest" ~kind:Vm.Guest ~mem_bytes:(4 * mib) in
+    Memory.Tlb.set_enabled (Vm.tlb guest) tlb_on;
+    let pt = Memory.Guest_pt.create ~id:1 () in
+    let gpa = Vm.alloc_gpa_page guest in
+    Memory.Guest_pt.map pt ~gva:0x1000 ~gpa ~perms:Memory.Perm.rw;
+    let (_ : int) = Vm.translate_gva guest ~pt ~gva:0x1000 ~access:Memory.Perm.Read in
+    let (_ : int) = Vm.translate_gpa guest ~gpa ~access:Memory.Perm.Read in
+    let refused what f =
+      Alcotest.(check bool)
+        (Printf.sprintf "%s refused (tlb %b)" what tlb_on)
+        true
+        (match f () with _ -> false | exception Invalid_argument _ -> true)
+    in
+    let gva_of addr () = Vm.translate_gva guest ~pt ~gva:addr ~access:Memory.Perm.Read in
+    let gpa_of addr () = Vm.translate_gpa guest ~gpa:addr ~access:Memory.Perm.Read in
+    refused "gva above 2^52" (gva_of ((1 lsl 52) lor 0x1000));
+    refused "negative gva" (gva_of (0x1000 - (1 lsl 52)));
+    refused "gva -1" (gva_of (-1));
+    refused "gpa above 2^52" (gpa_of ((1 lsl 52) lor 0x1000));
+    refused "negative gpa" (gpa_of (gpa - (1 lsl 52)));
+    refused "gpa -1" (gpa_of (-1))
+  in
+  check_refused ~tlb_on:true;
+  check_refused ~tlb_on:false
+
 (* ---- unmap hypercall caller validation (the PR's bugfix) ---- *)
 
 let test_unmap_guest_caller_rejected () =
@@ -321,6 +354,8 @@ let suites =
           test_grant_cache_invalidated_on_release;
         Alcotest.test_case "revoke_all invalidates" `Quick
           test_grant_cache_invalidated_on_revoke_all;
+        Alcotest.test_case "out-of-range addresses walk" `Quick
+          test_out_of_range_addresses_walk;
         Alcotest.test_case "packed keys do not alias VMs" `Quick
           test_packed_keys_do_not_alias_vms;
       ] );
