@@ -440,22 +440,24 @@ let publish t ~slot ~seq ~trace encode =
   ring_req_doorbell t ~trace;
   Obs.Trace.span_end t.tracer sp
 
+(* Deliver the response-ready slots from [first] on, in slot order. *)
+let rec deliver_from t first =
+  let slot =
+    Hypervisor.Shared_page.find_u32 t.front_view ~offset:(state_off 0) ~stride:4
+      ~count:t.slots ~start:first ~n:(t.slots - first) ~value:st_resp_ready
+  in
+  if slot >= 0 then begin
+    Hypervisor.Shared_page.write_u32 t.front_view ~offset:(state_off slot) st_delivered;
+    Sim.Mailbox.send t.resp_box.(slot) ();
+    if slot + 1 < t.slots then deliver_from t (slot + 1)
+  end
+
 (* Response-interrupt arrival: deliver every response published since
    the leg was raised (engine context: page reads and mailbox sends
    only, no waits). *)
 let deliver_responses t =
   t.resp_irq_pending <- false;
-  if not t.dead then
-    for slot = 0 to t.slots - 1 do
-      if
-        Hypervisor.Shared_page.read_u32 t.front_view ~offset:(state_off slot)
-        = st_resp_ready
-      then begin
-        Hypervisor.Shared_page.write_u32 t.front_view ~offset:(state_off slot)
-          st_delivered;
-        Sim.Mailbox.send t.resp_box.(slot) ()
-      end
-    done
+  if not t.dead then deliver_from t 0
 
 let fresh_seq t =
   t.next_seq <- t.next_seq + 1;
@@ -652,13 +654,9 @@ let inject_raw t ~slot (bytes : bytes) =
   end
 
 (* First request-ready slot from the fairness cursor on, or -1. *)
-let rec scan_ready t i =
-  if i >= t.slots then -1
-  else
-    let slot = (t.scan_cursor + i) mod t.slots in
-    if Hypervisor.Shared_page.read_u32 t.back_view ~offset:(state_off slot) = st_req_ready
-    then slot
-    else scan_ready t (i + 1)
+let scan_ready t =
+  Hypervisor.Shared_page.find_u32 t.back_view ~offset:(state_off 0) ~stride:4 ~count:t.slots
+    ~start:t.scan_cursor ~n:t.slots ~value:st_req_ready
 
 (* The drain loop, as top-level functions so that a worker parked
    waiting for work holds no closures. *)
@@ -668,7 +666,7 @@ let rec drain t =
      function entry, and never inside a hybrid poll window's wait,
      which would inflate drain spans under load *)
   let start = Sim.Engine.now t.engine in
-  let slot = scan_ready t 0 in
+  let slot = scan_ready t in
   if slot >= 0 then begin
     t.scan_cursor <- (slot + 1) mod t.slots;
     Hypervisor.Shared_page.write_u32 t.back_view ~offset:(state_off slot) st_in_service;

@@ -55,36 +55,76 @@ let eval_check ~(limits : Wire_spec.limits) data (c : Analyzer.Facts.check) =
           then Some (Analyzer.Facts.check_label c)
           else None)
 
+(* A handler's sanitizer, compiled once from its facts: the checks in
+   evaluation order, each with its coverage label, and the label of an
+   accepted call. *)
+type guard = {
+  fact : Analyzer.Facts.handler_fact;
+  checks : (Analyzer.Facts.check * string) list;
+  pass_label : string;
+}
+
+let compile dev_class (hf : Analyzer.Facts.handler_fact) =
+  let name = hf.Analyzer.Facts.hf_name in
+  {
+    fact = hf;
+    checks =
+      List.map
+        (fun c ->
+          (c, Printf.sprintf "sanitize.%s.%s.%s" dev_class name (Analyzer.Facts.check_label c)))
+        (Analyzer.Facts.checks hf);
+    pass_label = Printf.sprintf "handler.%s.%s" dev_class name;
+  }
+
+(* Every class's guards by command, built on first use.  A command
+   listed twice keeps its first handler, as {!Analyzer.Facts.find}
+   does. *)
+let guards : (string * guard Memory.Int_tbl.t) list Lazy.t =
+  lazy
+    (List.map
+       (fun (cls, (facts : Analyzer.Facts.t)) ->
+         let by_cmd = Memory.Int_tbl.create 16 in
+         List.iter
+           (fun (hf : Analyzer.Facts.handler_fact) ->
+             if not (Memory.Int_tbl.mem by_cmd hf.hf_cmd) then
+               Memory.Int_tbl.add by_cmd hf.hf_cmd (compile cls hf))
+           facts.Analyzer.Facts.fd_handlers;
+         (cls, by_cmd))
+       (Lazy.force Analyzer.Classes.facts))
+
+let rec class_guards cls = function
+  | [] -> None
+  | (c, by_cmd) :: rest -> if String.equal c cls then Some by_cmd else class_guards cls rest
+
+let rec first_violation ~limits data = function
+  | [] -> None
+  | (c, label) :: rest -> (
+      match eval_check ~limits data c with
+      | Some violated -> Some (violated, label)
+      | None -> first_violation ~limits data rest)
+
 let check ~dev_class ~cmd ~(arg : int64) ~limits ~read : verdict =
-  match Analyzer.Classes.fact_for ~dev_class ~cmd with
-  | None -> Pass (* not an analyzed command: the driver answers ENOTTY *)
-  | Some hf ->
-      let checks = Analyzer.Facts.checks hf in
-      let verdict =
-        if hf.Analyzer.Facts.hf_arg_len = 0 || checks = [] then Pass
-        else
-          match read ~addr:(Int64.to_int arg) ~len:hf.Analyzer.Facts.hf_arg_len with
-          | exception _ -> Pass (* let the handler produce its own EFAULT *)
-          | data ->
-              let rec go = function
-                | [] -> Pass
-                | c :: rest -> (
-                    match eval_check ~limits data c with
-                    | Some label ->
-                        Reject
-                          { handler = hf.Analyzer.Facts.hf_name; violated = label }
-                    | None -> go rest)
-              in
-              go checks
-      in
-      (match verdict with
-      | Pass ->
-          Wire_spec.Coverage.hit
-            (Printf.sprintf "handler.%s.%s" dev_class hf.Analyzer.Facts.hf_name)
-      | Reject { handler; violated } ->
-          Wire_spec.Coverage.hit
-            (Printf.sprintf "sanitize.%s.%s.%s" dev_class handler violated));
-      verdict
+  match class_guards dev_class (Lazy.force guards) with
+  | None -> Pass
+  | Some by_cmd -> (
+      match Memory.Int_tbl.find_opt by_cmd cmd with
+      | None -> Pass (* not an analyzed command: the driver answers ENOTTY *)
+      | Some g ->
+          let hf = g.fact in
+          let violation =
+            if hf.Analyzer.Facts.hf_arg_len = 0 || g.checks = [] then None
+            else
+              match read ~addr:(Int64.to_int arg) ~len:hf.Analyzer.Facts.hf_arg_len with
+              | exception _ -> None (* let the handler produce its own EFAULT *)
+              | data -> first_violation ~limits data g.checks
+          in
+          match violation with
+          | None ->
+              Wire_spec.Coverage.hit g.pass_label;
+              Pass
+          | Some (violated, label) ->
+              Wire_spec.Coverage.hit label;
+              Reject { handler = hf.Analyzer.Facts.hf_name; violated })
 
 (* ------------------------------------------------------------------ *)
 (* Fact-driven hostile generators (the wire_spec grammar idea applied  *)

@@ -8,11 +8,16 @@
     batch, which is exactly the cost Paradice's forwarding amortises
     with larger batches.
 
-    Ring layout (shared memory the application maps):
+    Ring layout: one {!Hypervisor.Shared_page} region, which the
+    driver reaches through a view of its VM's mapping, the NIC through
+    a view of its IOMMU domain and the application through its mmap:
     {v
-      page 0:        header { num_slots u32; head u32; cur u32; tail u32 }
-                     slots[num_slots] { len u32; buf_idx u32 }
-      pages 1..N:    packet buffers, [buf_size] bytes each
+      header (H pages):  { num_slots u32; head u32; cur u32; tail u32 }
+                         at 0, then slots[num_slots] { len u32; buf_idx u32 }
+                         from [slots_off]; H = ceil((64 + 8 num_slots) / 4096),
+                         3 pages for 1024 slots
+      buffers:           buffer i at H * 4096 + i * buf_size,
+                         ceil(num_slots * buf_size / 4096) pages
     v}
     [cur] is written by the application (first unfilled slot); [tail]
     by the NIC (first slot it has not transmitted).  Free space is
@@ -32,11 +37,13 @@ let slot_bytes = 8
 
 type t = {
   kernel : Kernel.t;
-  iommu : Memory.Iommu.t;
   num_slots : int;
   buf_size : int;
-  ring_pages : int array; (* driver gpas: header page + buffer pages *)
-  ring_dma : int; (* DMA base where the NIC sees the same pages *)
+  ring : Hypervisor.Shared_page.t; (* header pages, then buffer pages *)
+  ring_gpa : int; (* the ring's base in the driver VM *)
+  bufs_off : int; (* offset of buffer 0: the header's whole pages *)
+  drv : Hypervisor.Shared_page.view; (* the driver VM's CPU accesses *)
+  nic : Hypervisor.Shared_page.view; (* the NIC's DMA, at [ring_dma] *)
   gbps : float;
   kick : unit Sim.Mailbox.t; (* txsync doorbell *)
   wq : Wait_queue.t; (* pollers waiting for ring space *)
@@ -47,61 +54,50 @@ type t = {
   dma_scratch : Bytes.t; (* where the NIC's header DMA lands *)
 }
 
-let bufs_per_page = Memory.Addr.page_size / 2048
+(* DMA base where the NIC sees the ring *)
+let ring_dma = 0x2000_0000
+
+let pages_for bytes = (bytes + Memory.Addr.page_size - 1) / Memory.Addr.page_size
 
 let create kernel ~iommu ?(num_slots = 1024) ?(buf_size = 2048) ?(gbps = 1.) () =
-  let header_pages = 1 in
-  let buffer_pages = (num_slots + bufs_per_page - 1) / bufs_per_page in
+  let header_pages = pages_for (slots_off + (num_slots * slot_bytes)) in
+  let buffer_pages = pages_for (num_slots * buf_size) in
   let vm = Kernel.vm kernel in
-  let pages =
-    Array.init (header_pages + buffer_pages) (fun _ -> Hypervisor.Vm.alloc_gpa_page vm)
+  let ring =
+    Hypervisor.Shared_page.allocate ~pages:(header_pages + buffer_pages)
+      (Hypervisor.Vm.phys vm)
   in
+  let ring_gpa = Hypervisor.Shared_page.map_into ring vm ~perms:Memory.Perm.rw in
   (* The NIC DMAs the same pages: map them in its IOMMU domain. *)
-  let ring_dma = 0x2000_0000 in
-  Array.iteri
-    (fun i gpa ->
-      match Memory.Ept.lookup (Hypervisor.Vm.ept vm) ~gpa with
-      | Some (spa, _) ->
-          Memory.Iommu.map iommu
-            ~dma:(ring_dma + (i * Memory.Addr.page_size))
-            ~spa ~perms:Memory.Perm.rw ~region:None
-      | None -> assert false)
-    pages;
-  let t =
-    {
-      kernel;
-      iommu;
-      num_slots;
-      buf_size;
-      ring_pages = pages;
-      ring_dma;
-      gbps;
-      kick = Sim.Mailbox.create (Kernel.engine kernel);
-      wq = Wait_queue.create (Kernel.engine kernel);
-      hw_tail = 0;
-      tx_packets = 0;
-      tx_bytes = 0;
-      started = false;
-      dma_scratch = Bytes.create 16;
-    }
-  in
-  t
+  Hypervisor.Shared_page.map_dma ring iommu ~dma:ring_dma ~perms:Memory.Perm.rw;
+  {
+    kernel;
+    num_slots;
+    buf_size;
+    ring;
+    ring_gpa;
+    bufs_off = header_pages * Memory.Addr.page_size;
+    drv = Hypervisor.Shared_page.view_of ring vm;
+    nic = Hypervisor.Shared_page.device_view ring iommu ~dma:ring_dma;
+    gbps;
+    kick = Sim.Mailbox.create (Kernel.engine kernel);
+    wq = Wait_queue.create (Kernel.engine kernel);
+    hw_tail = 0;
+    tx_packets = 0;
+    tx_bytes = 0;
+    started = false;
+    dma_scratch = Bytes.create 16;
+  }
 
 let tx_packets t = t.tx_packets
 let tx_bytes t = t.tx_bytes
 
-(* Driver-side access to the ring header/slots through its own pages. *)
-let hdr_read t off = Hypervisor.Vm.read_gpa_u32 (Kernel.vm t.kernel) ~gpa:(t.ring_pages.(0) + off)
-
-let hdr_write t off v =
-  Hypervisor.Vm.write_gpa_u32 (Kernel.vm t.kernel) ~gpa:(t.ring_pages.(0) + off) v
-
+(* Driver-side access to the ring header and slots. *)
+let hdr_read t off = Hypervisor.Shared_page.read_u32 t.drv ~offset:off
+let hdr_write t off v = Hypervisor.Shared_page.write_u32 t.drv ~offset:off v
 let slot_addr slot = slots_off + (slot * slot_bytes)
-
-let buf_dma t slot =
-  let page = 1 + (slot / bufs_per_page) in
-  let off = slot mod bufs_per_page * t.buf_size in
-  t.ring_dma + (page * Memory.Addr.page_size) + off
+let buf_offset t slot = t.bufs_off + (slot * t.buf_size)
+let last_tx_header t = Bytes.copy t.dma_scratch
 
 (** Wire time for one frame: bits / rate, plus 20 bytes of
     preamble/IFG, matching the 1.488 Mpps line rate at 64 bytes. *)
@@ -132,12 +128,8 @@ let start t =
             let len = if len <= 0 || len > t.buf_size then 60 else len in
             (* DMA the frame header: permissions checked by the IOMMU *)
             (try
-               Memory.Phys_mem.read_into
-                 (Hypervisor.Vm.phys (Kernel.vm t.kernel))
-                 ~spa:
-                   (Memory.Iommu.translate t.iommu ~dma:(buf_dma t slot)
-                      ~access:Memory.Perm.Read)
-                 ~dst:t.dma_scratch ~dst_off:0 ~len:(min len 16)
+               Hypervisor.Shared_page.read_into t.nic ~offset:(buf_offset t slot)
+                 ~len:(min len 16) ~dst:t.dma_scratch ~dst_off:0
              with Memory.Fault.Iommu_fault _ -> ());
             Sim.Engine.wait (wire_time_us t ~len);
             t.tx_packets <- t.tx_packets + 1;
@@ -197,9 +189,10 @@ let file_ops t =
     fop_fault =
       (fun task _file vma ~gva ->
         let page = (gva - vma.Defs.vma_start) / Memory.Addr.page_size in
-        if page < 0 || page >= Array.length t.ring_pages then
+        if page < 0 || page >= Hypervisor.Shared_page.pages t.ring then
           Errno.fail Errno.EFAULT "fault beyond netmap ring";
-        Uaccess.insert_pfn task ~gva ~page_gpa:t.ring_pages.(page)
+        Uaccess.insert_pfn task ~gva
+          ~page_gpa:(t.ring_gpa + (page * Memory.Addr.page_size))
           ~perms:Memory.Perm.rw);
     fop_poll =
       (fun _task _file ~want_in:_ ~want_out ->
@@ -219,4 +212,4 @@ let register t ~path =
   Devfs.register (Kernel.devfs t.kernel) dev;
   dev
 
-let ring_bytes t = Array.length t.ring_pages * Memory.Addr.page_size
+let ring_bytes t = Hypervisor.Shared_page.size t.ring

@@ -1,6 +1,7 @@
 (** netmap over an e1000-like NIC (§6.1.2, Figure 2): TX ring and
-    buffers in driver memory mmap'd into the application, poll-driven
-    txsync, wire-speed drain (1.488 Mpps at 64 B on 1 GbE). *)
+    buffers in one shared region that the driver, the NIC's DMA and
+    the application's mmap all reach, poll-driven txsync, wire-speed
+    drain (1.488 Mpps at 64 B on 1 GbE). *)
 
 val nioc_regif : int
 val nioc_txsync : int
@@ -42,4 +43,14 @@ val file_ops : t -> Oskit.Defs.file_ops
 (** Registers single-open (§5.1). *)
 val register : t -> path:string -> Oskit.Defs.device
 
+(** Bytes the application maps: the header pages (sized from
+    [num_slots]) and the buffer pages. *)
 val ring_bytes : t -> int
+
+(** Offset of slot [i]'s packet buffer from the start of the ring. *)
+val buf_offset : t -> int -> int
+
+(** The 16 bytes where the NIC's header DMA for the last packet it sent
+    landed (a frame shorter than 16 bytes leaves the tail of the one
+    before). *)
+val last_tx_header : t -> bytes

@@ -1,5 +1,5 @@
-(** A physically-backed region shared between VMs (and optionally the
-    hypervisor).
+(** A physically-backed region shared between VMs (and optionally a
+    device and the hypervisor).
 
     The CVD frontend/backend communicate through such regions (§5.1):
     the frontend serialises file-operation arguments into one, rings a
@@ -26,25 +26,36 @@ type t = {
    every operation, so a view resolves each page to its backing frame
    once per mapping change instead of once per word.  Slot
    [2 * page + kind] (kind 0 = read, 1 = write) holds the page's frame
-   and, for a VM, the stamp it was resolved under: the VM's
-   {!Memory.Ept.generation} and {!Memory.Tlb.epoch}.  A resolution goes
-   through {!Vm.translate_gpa}, which leaves a current TLB entry
-   behind; while the stamp still matches, that entry is still present
-   and current, so the TLB would hit — and a cache hit is counted as
-   exactly that.  Any EPT mutation (unmap, remap, permission
-   stripping) or TLB flush changes the stamp, and the next access
-   walks again, faulting as an uncached access would.  The
-   hypervisor's view has no EPT in the way and frames never move, so
-   its slots are resolved once. *)
+   and the stamp it was resolved under.
+
+   - A VM's stamp is its {!Memory.Ept.generation} and
+     {!Memory.Tlb.epoch}.  A resolution goes through
+     {!Vm.translate_gpa}, which leaves a current TLB entry behind;
+     while the stamp still matches, that entry is still present and
+     current, so the TLB would hit — and a cache hit is counted as
+     exactly that.  Any EPT mutation (unmap, remap, permission
+     stripping) or TLB flush changes the stamp, and the next access
+     walks again, faulting as an uncached access would.
+   - A device's stamp is its IOMMU domain's {!Memory.Iommu.generation}.
+     A resolution goes through the permission-checked
+     {!Memory.Iommu.translate}; any map, unmap or region switch in the
+     domain changes the stamp, so a revoked page faults exactly as an
+     uncached DMA would.  There is no device TLB, so nothing is
+     counted.
+   - The hypervisor's view has no translation in the way and frames
+     never move, so its slots are resolved once. *)
 type view = {
   region : t;
   owner : owner;
   frames : Bytes.t array; (* [no_frame] until resolved *)
-  ept_gens : int array; (* -1: never resolved (VM views only) *)
-  epochs : int array;
+  gens : int array; (* EPT or IOMMU generation; -1: never resolved *)
+  epochs : int array; (* TLB epoch (VM views only) *)
 }
 
-and owner = Guest of { vm : Vm.t; gpa : int (* region base in [vm] *) } | Hypervisor
+and owner =
+  | Guest of { vm : Vm.t; gpa : int (* region base in [vm] *) }
+  | Device of { iommu : Memory.Iommu.t; dma : int (* region base in [iommu] *) }
+  | Hypervisor
 
 let no_frame = Bytes.empty
 
@@ -65,14 +76,30 @@ let map_into t vm ~perms =
   t.mappings <- (vm.Vm.id, gpa) :: t.mappings;
   gpa
 
+(** Map the region's pages into a device's IOMMU domain, contiguously
+    from the page-aligned DMA address [dma]. *)
+let map_dma t iommu ~dma ~perms =
+  for i = 0 to t.pages - 1 do
+    Memory.Iommu.map iommu
+      ~dma:(dma + (i * Memory.Addr.page_size))
+      ~spa:(Memory.Addr.of_pfn (t.base_spn + i))
+      ~perms ~region:None
+  done
+
 let check_bounds t ~offset ~len =
   if offset < 0 || len < 0 || offset + len > t.pages * Memory.Addr.page_size then
     invalid_arg "Shared_page: access outside region"
 
 let make_view region owner =
   let slots = 2 * region.pages in
-  let stamps () = match owner with Hypervisor -> [||] | Guest _ -> Array.make slots (-1) in
-  { region; owner; frames = Array.make slots no_frame; ept_gens = stamps (); epochs = stamps () }
+  let stamps used = if used then Array.make slots (-1) else [||] in
+  {
+    region;
+    owner;
+    frames = Array.make slots no_frame;
+    gens = stamps (match owner with Guest _ | Device _ -> true | Hypervisor -> false);
+    epochs = stamps (match owner with Guest _ -> true | Device _ | Hypervisor -> false);
+  }
 
 (** A view for a VM that has the region mapped: every access performs
     the EPT-checked CPU access of that VM (crossing page boundaries
@@ -83,6 +110,10 @@ let view_of t vm =
   match List.assoc_opt vm.Vm.id t.mappings with
   | Some gpa -> make_view t (Guest { vm; gpa })
   | None -> invalid_arg "Shared_page.view_of: not mapped in this VM"
+
+(** A device's DMA view: offset [o] is DMA address [dma + o] in
+    [iommu], translated with the domain's permission checks. *)
+let device_view t iommu ~dma = make_view t (Device { iommu; dma })
 
 (** The hypervisor's own view bypasses EPTs: it addresses the frames
     directly (they are the hypervisor's memory, after all; the frames
@@ -105,9 +136,20 @@ let resolve_guest v vm ~gpa ~slot ~access offset =
       | None -> no_frame
       | Some frame ->
           v.frames.(slot) <- frame;
-          v.ept_gens.(slot) <- Memory.Ept.generation vm.Vm.ept;
+          v.gens.(slot) <- Memory.Ept.generation vm.Vm.ept;
           v.epochs.(slot) <- Memory.Tlb.epoch vm.Vm.tlb;
           frame)
+
+let resolve_device v iommu ~dma ~slot ~access offset =
+  (* faults exactly as an uncached DMA to an unmapped or
+     under-privileged page *)
+  let spa = Memory.Iommu.translate iommu ~dma:(dma + offset) ~access in
+  match Memory.Phys_mem.ram_frame v.region.phys ~spn:(Memory.Addr.pfn spa) ~access with
+  | None -> no_frame (* MMIO: never cached *)
+  | Some frame ->
+      v.frames.(slot) <- frame;
+      v.gens.(slot) <- Memory.Iommu.generation iommu;
+      frame
 
 (* The frame of the page holding [offset] for [access], or [no_frame]
    when the caller must take the uncached path (a VM's TLB disabled,
@@ -132,7 +174,7 @@ let frame v ~access offset =
       let tlb = vm.Vm.tlb in
       if not (Memory.Tlb.enabled tlb) then no_frame
       else if
-        v.ept_gens.(slot) = Memory.Ept.generation vm.Vm.ept
+        v.gens.(slot) = Memory.Ept.generation vm.Vm.ept
         && v.epochs.(slot) = Memory.Tlb.epoch tlb
       then begin
         let stats = Memory.Tlb.stats tlb in
@@ -140,6 +182,9 @@ let frame v ~access offset =
         v.frames.(slot)
       end
       else resolve_guest v vm ~gpa ~slot ~access offset
+  | Device { iommu; dma } ->
+      if v.gens.(slot) = Memory.Iommu.generation iommu then v.frames.(slot)
+      else resolve_device v iommu ~dma ~slot ~access offset
 
 (* Frame for a scalar of [width] bytes at [offset]; a page-straddling
    scalar takes the uncached path. *)
@@ -147,6 +192,9 @@ let scalar_frame v ~access ~offset ~width =
   check_bounds v.region ~offset ~len:width;
   if in_page offset + width <= Memory.Addr.page_size then frame v ~access offset
   else no_frame
+
+(* The system-physical address a device's uncached DMA reaches. *)
+let dma_spa iommu ~dma ~access off = Memory.Iommu.translate iommu ~dma:(dma + off) ~access
 
 (* One within-page chunk [off, off + chunk) of the region into or
    out of [buf] at [pos]. *)
@@ -156,6 +204,10 @@ let read_chunk v buf ~pos off chunk =
   else
     match v.owner with
     | Guest { vm; gpa } -> Vm.read_gpa_into vm ~gpa:(gpa + off) ~dst:buf ~dst_off:pos ~len:chunk
+    | Device { iommu; dma } ->
+        Memory.Phys_mem.read_into v.region.phys
+          ~spa:(dma_spa iommu ~dma ~access:Memory.Perm.Read off)
+          ~dst:buf ~dst_off:pos ~len:chunk
     | Hypervisor ->
         Memory.Phys_mem.read_into v.region.phys ~spa:(spa_of v off) ~dst:buf ~dst_off:pos
           ~len:chunk
@@ -166,6 +218,10 @@ let write_chunk v buf ~pos off chunk =
   else
     match v.owner with
     | Guest { vm; gpa } -> Vm.write_gpa_from vm ~gpa:(gpa + off) ~src:buf ~src_off:pos ~len:chunk
+    | Device { iommu; dma } ->
+        Memory.Phys_mem.write_from v.region.phys
+          ~spa:(dma_spa iommu ~dma ~access:Memory.Perm.Write off)
+          ~src:buf ~src_off:pos ~len:chunk
     | Hypervisor ->
         Memory.Phys_mem.write_from v.region.phys ~spa:(spa_of v off) ~src:buf ~src_off:pos
           ~len:chunk
@@ -196,13 +252,24 @@ let write v ~offset data =
   check_bounds v.region ~offset ~len;
   page_chunks write_chunk v data ~pos:0 offset len
 
+(* A device scalar off the cached path (page-straddling, or MMIO) is
+   a DMA of its bytes, page by page. *)
+let device_write_scalar v ~offset ~width set x =
+  let b = Bytes.create width in
+  set b 0 x;
+  write v ~offset b
+
+let get_u32 f off = Int32.to_int (Bytes.get_int32_le f off) land 0xffffffff
+
+let read_u32_uncached v ~offset =
+  match v.owner with
+  | Guest { vm; gpa } -> Vm.read_gpa_u32 vm ~gpa:(gpa + offset)
+  | Device _ -> get_u32 (read v ~offset ~len:4) 0
+  | Hypervisor -> Memory.Phys_mem.read_u32 v.region.phys ~spa:(spa_of v offset)
+
 let read_u32 v ~offset =
   let f = scalar_frame v ~access:Memory.Perm.Read ~offset ~width:4 in
-  if f != no_frame then Int32.to_int (Bytes.get_int32_le f (in_page offset)) land 0xffffffff
-  else
-    match v.owner with
-    | Guest { vm; gpa } -> Vm.read_gpa_u32 vm ~gpa:(gpa + offset)
-    | Hypervisor -> Memory.Phys_mem.read_u32 v.region.phys ~spa:(spa_of v offset)
+  if f != no_frame then get_u32 f (in_page offset) else read_u32_uncached v ~offset
 
 let write_u32 v ~offset x =
   let f = scalar_frame v ~access:Memory.Perm.Write ~offset ~width:4 in
@@ -210,6 +277,10 @@ let write_u32 v ~offset x =
   else
     match v.owner with
     | Guest { vm; gpa } -> Vm.write_gpa_u32 vm ~gpa:(gpa + offset) x
+    | Device _ ->
+        device_write_scalar v ~offset ~width:4
+          (fun b o x -> Bytes.set_int32_le b o (Int32.of_int x))
+          x
     | Hypervisor -> Memory.Phys_mem.write_u32 v.region.phys ~spa:(spa_of v offset) x
 
 let read_u64 v ~offset =
@@ -218,6 +289,7 @@ let read_u64 v ~offset =
   else
     match v.owner with
     | Guest { vm; gpa } -> Vm.read_gpa_u64 vm ~gpa:(gpa + offset)
+    | Device _ -> Bytes.get_int64_le (read v ~offset ~len:8) 0
     | Hypervisor -> Memory.Phys_mem.read_u64 v.region.phys ~spa:(spa_of v offset)
 
 let write_u64 v ~offset x =
@@ -226,4 +298,37 @@ let write_u64 v ~offset x =
   else
     match v.owner with
     | Guest { vm; gpa } -> Vm.write_gpa_u64 vm ~gpa:(gpa + offset) x
+    | Device _ -> device_write_scalar v ~offset ~width:8 Bytes.set_int64_le x
     | Hypervisor -> Memory.Phys_mem.write_u64 v.region.phys ~spa:(spa_of v offset) x
+
+(* One word of a [find_u32] scan.  [page] is the page whose frame [f]
+   this scan resolved last ([f == no_frame]: none).  The scan runs no
+   other code, so that frame's stamp cannot move before the next word
+   and a word in the same page reads it directly, counting the TLB hit
+   that [frame] would have counted.  Any other word goes through
+   [read_u32]'s own path. *)
+let rec find_from v ~offset ~stride ~count ~value ~start ~n k page f =
+  if k >= n then -1
+  else
+    let j = start + k in
+    let i = if j >= count then j - count else j in
+    let off = offset + (i * stride) in
+    if f != no_frame && page_of off = page && in_page off + 4 <= Memory.Addr.page_size then begin
+      (match v.owner with
+      | Guest { vm; _ } ->
+          let stats = Memory.Tlb.stats vm.Vm.tlb in
+          stats.Memory.Tlb.hits <- stats.Memory.Tlb.hits + 1
+      | Device _ | Hypervisor -> ());
+      if get_u32 f (in_page off) = value then i
+      else find_from v ~offset ~stride ~count ~value ~start ~n (k + 1) page f
+    end
+    else
+      let f = scalar_frame v ~access:Memory.Perm.Read ~offset:off ~width:4 in
+      let x = if f != no_frame then get_u32 f (in_page off) else read_u32_uncached v ~offset:off in
+      if x = value then i
+      else find_from v ~offset ~stride ~count ~value ~start ~n (k + 1) (page_of off) f
+
+let find_u32 v ~offset ~stride ~count ~start ~n ~value =
+  if count < 1 || start < 0 || n < 0 || n > count || (n > 0 && start >= count) then
+    invalid_arg "Shared_page.find_u32: bad range";
+  find_from v ~offset ~stride ~count ~value ~start ~n 0 (-1) no_frame

@@ -13,18 +13,24 @@ type mapping = { spn : int; perms : Perm.t; region : int option }
 type t = {
   name : string;
   entries : mapping Int_tbl.t; (* dma pfn -> mapping *)
+  mutable generation : int; (* bumped by every mutation of [entries] *)
 }
 
-let create ~name = { name; entries = Int_tbl.create 256 }
+let create ~name = { name; entries = Int_tbl.create 256; generation = 0 }
 
 let name t = t.name
+let generation t = t.generation
+let bump t = t.generation <- t.generation + 1
 
 let map t ~dma ~spa ~perms ~region =
   if not (Addr.is_page_aligned dma && Addr.is_page_aligned spa) then
     invalid_arg "Iommu.map: unaligned";
-  Int_tbl.replace t.entries (Addr.pfn dma) { spn = Addr.pfn spa; perms; region }
+  Int_tbl.replace t.entries (Addr.pfn dma) { spn = Addr.pfn spa; perms; region };
+  bump t
 
-let unmap t ~dma = Int_tbl.remove t.entries (Addr.pfn dma)
+let unmap t ~dma =
+  Int_tbl.remove t.entries (Addr.pfn dma);
+  bump t
 
 (* Returned by a lookup miss, and probed for by physical equality. *)
 let unmapped = { spn = -1; perms = Perm.none; region = None }
@@ -51,6 +57,7 @@ let pfns_of_region t region =
 let unmap_region t region =
   let victims = pfns_of_region t region in
   List.iter (Int_tbl.remove t.entries) victims;
+  bump t;
   List.length victims
 
 let mapping_count t = Int_tbl.length t.entries

@@ -9,6 +9,13 @@ val name : t -> string
 val map : t -> dma:int -> spa:int -> perms:Perm.t -> region:int option -> unit
 val unmap : t -> dma:int -> unit
 
+(** Bumped by {!map}, {!unmap} and {!unmap_region}, the only writers
+    of the domain's mappings: a translation made while the generation
+    read [g] is still the translation while it reads [g].  Frame
+    caches over DMA (the device views of shared regions) stamp with
+    it. *)
+val generation : t -> int
+
 (** Raises {!Fault.Iommu_fault} on unmapped or under-privileged DMA. *)
 val translate : t -> dma:int -> access:Perm.access -> int
 

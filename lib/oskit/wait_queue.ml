@@ -49,11 +49,17 @@ and sleep_timeout t ~timeout =
       if !cell = `Waiting then cell := `Done;
       false
 
+(* Wakers run after the queue is emptied, so a sleeper that goes back
+   to sleep waits for the next wake-up.  With no sleeper there is
+   nothing to copy: a driver waking on every completion allocates
+   nothing while nobody waits. *)
 let wake_all t =
   t.wakeups <- t.wakeups + 1;
-  let pending = Queue.copy t.sleepers in
-  Queue.clear t.sleepers;
-  Queue.iter (fun waker -> waker (Some ())) pending
+  if not (Queue.is_empty t.sleepers) then begin
+    let pending = Queue.copy t.sleepers in
+    Queue.clear t.sleepers;
+    Queue.iter (fun waker -> waker (Some ())) pending
+  end
 
 let waiting t = Queue.length t.sleepers
 let wakeups t = t.wakeups

@@ -10,6 +10,11 @@ let per_packet_fill_us = 0.06 (* netmap's ~60 ns per-slot CPU work *)
 
 type result = { rate_mpps : float; packets : int; elapsed_s : float }
 
+let nic env =
+  match env.machine.Paradice.Machine.netmap with
+  | Some nm -> nm
+  | None -> failwith "netmap not attached"
+
 let run env ~packets ~batch ?(pkt_size = 64) () =
   run_to_completion env (fun () ->
       let task = spawn_app env ~name:"pktgen" in
@@ -20,8 +25,7 @@ let run env ~packets ~batch ?(pkt_size = 64) () =
         ioctl env task fd ~cmd:Devices.Netmap_drv.nioc_regif ~arg:(Int64.of_int arg)
       in
       let num_slots = u32 task ~gva:(arg + 4) in
-      let ring_len = Memory.Addr.align_up ((1 + ((num_slots * 2048) / Memory.Addr.page_size)) * Memory.Addr.page_size + Memory.Addr.page_size) in
-      let gva = mmap env task fd ~len:ring_len ~pgoff:0 in
+      let gva = mmap env task fd ~len:(Devices.Netmap_drv.ring_bytes (nic env)) ~pgoff:0 in
       (* fault the header page in before timing *)
       let (_ : bytes) = Oskit.Vfs.user_read env.kernel task ~gva ~len:16 in
       let read_hdr off =
@@ -40,11 +44,7 @@ let run env ~packets ~batch ?(pkt_size = 64) () =
       in
       let slot_bytes = Bytes.create 4 in
       Bytes.set_int32_le slot_bytes 0 (Int32.of_int pkt_size);
-      let nm =
-        match env.machine.Paradice.Machine.netmap with
-        | Some nm -> nm
-        | None -> failwith "netmap not attached"
-      in
+      let nm = nic env in
       let tx_base = Devices.Netmap_drv.tx_packets nm in
       let t0 = now_us env in
       while !sent < packets do
@@ -108,8 +108,7 @@ let run_batched env ~packets ~batch ?(ops_per_desc = 16) ?(pkt_size = 64) () =
         ioctl env task fd ~cmd:Devices.Netmap_drv.nioc_regif ~arg:(Int64.of_int arg)
       in
       let num_slots = u32 task ~gva:(arg + 4) in
-      let ring_len = Memory.Addr.align_up ((1 + ((num_slots * 2048) / Memory.Addr.page_size)) * Memory.Addr.page_size + Memory.Addr.page_size) in
-      let gva = mmap env task fd ~len:ring_len ~pgoff:0 in
+      let gva = mmap env task fd ~len:(Devices.Netmap_drv.ring_bytes (nic env)) ~pgoff:0 in
       let (_ : bytes) = Oskit.Vfs.user_read env.kernel task ~gva ~len:16 in
       let file =
         match Memory.Int_tbl.find_opt task.Oskit.Defs.fds fd with
@@ -132,11 +131,7 @@ let run_batched env ~packets ~batch ?(ops_per_desc = 16) ?(pkt_size = 64) () =
       in
       let slot_bytes = Bytes.create 4 in
       Bytes.set_int32_le slot_bytes 0 (Int32.of_int pkt_size);
-      let nm =
-        match env.machine.Paradice.Machine.netmap with
-        | Some nm -> nm
-        | None -> failwith "netmap not attached"
-      in
+      let nm = nic env in
       let tx_base = Devices.Netmap_drv.tx_packets nm in
       (* txsyncs owed to the NIC but not yet forwarded *)
       let pending_syncs = ref 0 in

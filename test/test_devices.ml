@@ -426,6 +426,38 @@ let test_netmap_tx_line_rate () =
         true
         (rate_mpps > 1.3 && rate_mpps <= 1.5))
 
+(* The slot table (64 + 1024 * 8 bytes) spans three pages: filling
+   every slot through the application's mapping must leave the packet
+   buffers alone, so the NIC's DMA of buffer 0 reads what the
+   application wrote there. *)
+let test_netmap_slots_clear_of_buffers () =
+  let m, nm = netmap_machine () in
+  run_in_process m.eng (fun () ->
+      let task = Kernel.spawn_task m.kernel ~name:"pktgen" in
+      let fd = ok (Vfs.openf m.kernel task "/dev/netmap") in
+      let gva = ok (Vfs.mmap m.kernel task fd ~len:(Devices.Netmap_drv.ring_bytes nm) ~pgoff:0) in
+      let frame = Bytes.of_string "dst-mac+src-mac!" in
+      Vfs.user_write m.kernel task ~gva:(gva + Devices.Netmap_drv.buf_offset nm 0) frame;
+      let len = Bytes.create 4 in
+      Bytes.set_int32_le len 0 64l;
+      for slot = Devices.Netmap_drv.ring_slots nm - 1 downto 0 do
+        Vfs.user_write m.kernel task
+          ~gva:(gva + Devices.Netmap_drv.slots_off + (slot * Devices.Netmap_drv.slot_bytes))
+          len
+      done;
+      Bytes.set_int32_le len 0 1l;
+      Vfs.user_write m.kernel task ~gva:(gva + Devices.Netmap_drv.hdr_cur) len;
+      let (_ : int) = ok (Vfs.ioctl m.kernel task fd ~cmd:Devices.Netmap_drv.nioc_txsync ~arg:0L) in
+      while Devices.Netmap_drv.tx_packets nm < 1 do
+        Sim.Engine.wait 1.
+      done;
+      Alcotest.(check string) "NIC read buffer 0's own bytes" (Bytes.to_string frame)
+        (Bytes.to_string (Devices.Netmap_drv.last_tx_header nm));
+      Alcotest.(check bool) "buffers start after the slot table" true
+        (Devices.Netmap_drv.buf_offset nm 0
+        >= Devices.Netmap_drv.slots_off
+           + (Devices.Netmap_drv.ring_slots nm * Devices.Netmap_drv.slot_bytes)))
+
 (* ---- interface-audit regressions: trust-the-argument fixes ---- *)
 
 let expect_errno name want = function
@@ -666,5 +698,7 @@ let suites =
         Alcotest.test_case "tx at line rate" `Quick test_netmap_tx_line_rate;
         Alcotest.test_case "bad ringid rejected" `Quick test_netmap_bad_ringid_rejected;
         Alcotest.test_case "hostile cur bounded" `Quick test_netmap_hostile_cur_bounded;
+        Alcotest.test_case "slot table clear of buffers" `Quick
+          test_netmap_slots_clear_of_buffers;
       ] );
   ]

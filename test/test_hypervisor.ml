@@ -277,6 +277,141 @@ let test_shared_page_cache_counter_parity () =
   Alcotest.(check (list int)) "same values" vm_values view_values;
   Alcotest.(check (triple int int int)) "same hits, misses, walks" vm_stats view_stats
 
+(* ---- device views: the IOMMU generation stamps the frame cache ---- *)
+
+let iommu_fault f =
+  match f () with _ -> false | exception Memory.Fault.Iommu_fault _ -> true
+
+let device_setup () =
+  let hyp = make_hyp () in
+  let phys = Hyp.phys hyp in
+  let page = Shared_page.allocate ~pages:2 phys in
+  let iommu = Memory.Iommu.create ~name:"nic" in
+  let dma = 0x4000_0000 in
+  Shared_page.map_dma page iommu ~dma ~perms:Memory.Perm.rw;
+  let hv = Shared_page.hypervisor_view page in
+  Shared_page.write hv ~offset:0 (Bytes.of_string "ring page zero");
+  (phys, page, iommu, dma, Shared_page.device_view page iommu ~dma)
+
+let test_device_view_unmap_faults () =
+  let _, _, iommu, dma, view = device_setup () in
+  Alcotest.(check string) "reads the ring" "ring page zero"
+    (Bytes.to_string (Shared_page.read view ~offset:0 ~len:14));
+  Alcotest.(check int) "scalar read" 0x676e6972 (Shared_page.read_u32 view ~offset:0);
+  Memory.Iommu.unmap iommu ~dma;
+  Alcotest.(check bool) "read of the unmapped page faults" true
+    (iommu_fault (fun () -> Shared_page.read view ~offset:0 ~len:14));
+  Alcotest.(check bool) "scalar read faults" true
+    (iommu_fault (fun () -> Shared_page.read_u32 view ~offset:0));
+  Alcotest.(check bool) "as the uncached DMA does" true
+    (iommu_fault (fun () -> Memory.Iommu.translate iommu ~dma ~access:Memory.Perm.Read));
+  Alcotest.(check int) "the other page still reads" 0
+    (Shared_page.read_u32 view ~offset:Memory.Addr.page_size)
+
+let test_device_view_remap_reads_new_frame () =
+  let phys, page, iommu, dma, view = device_setup () in
+  Alcotest.(check string) "reads the ring" "ring page zero"
+    (Bytes.to_string (Shared_page.read view ~offset:0 ~len:14));
+  Shared_page.write_u32 view ~offset:16 7;
+  let other = Memory.Phys_mem.alloc_frame phys in
+  Memory.Phys_mem.write phys ~spa:(Memory.Addr.of_pfn other) (Bytes.of_string "another frame!");
+  Memory.Iommu.map iommu ~dma ~spa:(Memory.Addr.of_pfn other) ~perms:Memory.Perm.rw
+    ~region:None;
+  Alcotest.(check string) "reads the new frame" "another frame!"
+    (Bytes.to_string (Shared_page.read view ~offset:0 ~len:14));
+  Shared_page.write_u32 view ~offset:16 9;
+  Alcotest.(check int) "writes land in the new frame" 9
+    (Memory.Phys_mem.read_u32 phys ~spa:(Memory.Addr.of_pfn other + 16));
+  Alcotest.(check int) "not in the old one" 7
+    (Shared_page.read_u32 (Shared_page.hypervisor_view page) ~offset:16);
+  (* read-only: reads work, writes fault as the uncached DMA would *)
+  Memory.Iommu.map iommu ~dma ~spa:(Memory.Addr.of_pfn other) ~perms:Memory.Perm.r
+    ~region:None;
+  Alcotest.(check int) "read-only page reads" 9 (Shared_page.read_u32 view ~offset:16);
+  Alcotest.(check bool) "read-only page refuses writes" true
+    (iommu_fault (fun () -> Shared_page.write_u32 view ~offset:16 1))
+
+(* ---- find_u32: one resolution per scan, per-word counters ---- *)
+
+(* The per-word loop [find_u32] replaces. *)
+let find_by_words view ~offset ~stride ~count ~start ~n ~value =
+  let rec go k =
+    if k >= n then -1
+    else
+      let i = (start + k) mod count in
+      if Shared_page.read_u32 view ~offset:(offset + (i * stride)) = value then i
+      else go (k + 1)
+  in
+  go 0
+
+let test_find_u32_counter_parity () =
+  let page_size = Memory.Addr.page_size in
+  let run find =
+    let hyp = make_hyp () in
+    let a = Hyp.create_vm hyp ~name:"a" ~kind:Vm.Guest ~mem_bytes:mib in
+    let page = Shared_page.allocate ~pages:2 (Hyp.phys hyp) in
+    let (_ : int) = Shared_page.map_into page a ~perms:Memory.Perm.rw in
+    let view = Shared_page.view_of page a in
+    let hv = Shared_page.hypervisor_view page in
+    (* state words: 3 at index 5 of the first table, 3 at index 1 of
+       one straddling the page boundary, with a word across it *)
+    Shared_page.write_u32 hv ~offset:(5 * 4) 3;
+    Shared_page.write_u32 hv ~offset:(page_size - 10 + 4) 3;
+    Shared_page.write_u32 hv ~offset:(page_size - 2) 8;
+    let seen = ref [] in
+    let scan ~offset ~stride ~count ~start ~n ~value =
+      seen := find view ~offset ~stride ~count ~start ~n ~value :: !seen
+    in
+    let cases () =
+      (* found; missing; found before the cursor after wrapping *)
+      scan ~offset:0 ~stride:4 ~count:16 ~start:0 ~n:16 ~value:3;
+      scan ~offset:0 ~stride:4 ~count:16 ~start:0 ~n:16 ~value:2;
+      scan ~offset:0 ~stride:4 ~count:16 ~start:9 ~n:16 ~value:3;
+      scan ~offset:0 ~stride:4 ~count:16 ~start:9 ~n:7 ~value:3;
+      scan ~offset:0 ~stride:4 ~count:16 ~start:6 ~n:10 ~value:0;
+      (* a range across the page boundary: words in both pages and one
+         straddling it *)
+      scan ~offset:(page_size - 10) ~stride:4 ~count:6 ~start:0 ~n:6 ~value:8;
+      scan ~offset:(page_size - 10) ~stride:4 ~count:6 ~start:3 ~n:6 ~value:3;
+      scan ~offset:(page_size - 10) ~stride:4 ~count:6 ~start:0 ~n:6 ~value:99;
+      scan ~offset:(page_size - 12) ~stride:8 ~count:4 ~start:2 ~n:4 ~value:99;
+      scan ~offset:0 ~stride:4 ~count:16 ~start:0 ~n:0 ~value:3
+    in
+    cases ();
+    cases ();
+    Vm.flush_tlb a;
+    cases ();
+    Memory.Tlb.set_enabled (Vm.tlb a) false;
+    cases ();
+    Memory.Tlb.set_enabled (Vm.tlb a) true;
+    cases ();
+    let s = Memory.Tlb.stats (Vm.tlb a) in
+    (List.rev !seen, (s.Memory.Tlb.hits, s.Memory.Tlb.misses, s.Memory.Tlb.walks))
+  in
+  let scan_values, scan_stats = run Shared_page.find_u32
+  and word_values, word_stats = run find_by_words in
+  Alcotest.(check (list int)) "same slots" word_values scan_values;
+  Alcotest.(check bool) "slots found" true
+    (List.filteri (fun i _ -> i < 10) scan_values = [ 5; -1; 5; -1; 6; 2; 1; -1; -1; -1 ]);
+  Alcotest.(check (triple int int int)) "same hits, misses, walks" word_stats scan_stats
+
+let test_find_u32_faults_like_read () =
+  let hyp = make_hyp () in
+  let a = Hyp.create_vm hyp ~name:"a" ~kind:Vm.Guest ~mem_bytes:mib in
+  let page = Shared_page.allocate (Hyp.phys hyp) in
+  let gpa = Shared_page.map_into page a ~perms:Memory.Perm.rw in
+  let view = Shared_page.view_of page a in
+  let find () = Shared_page.find_u32 view ~offset:0 ~stride:4 ~count:8 ~start:0 ~n:8 ~value:1 in
+  Alcotest.(check int) "nothing ready" (-1) (find ());
+  Memory.Ept.set_perms (Vm.ept a) ~gpa ~perms:Memory.Perm.none;
+  Alcotest.check fault_t "a revoked page faults as read_u32 does"
+    (ept_fault (fun () -> Vm.read_gpa_u32 a ~gpa))
+    (ept_fault find);
+  Alcotest.(check bool) "out of range" true
+    (match Shared_page.find_u32 view ~offset:0 ~stride:4 ~count:8 ~start:8 ~n:1 ~value:1 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_interrupt_latency () =
   let eng = Sim.Engine.create () in
   let ch = Interrupt.create eng ~latency_us:17.5 in
@@ -661,6 +796,13 @@ let suites =
           test_shared_page_cache_kill_flushes;
         Alcotest.test_case "frame cache keeps tlb counters" `Quick
           test_shared_page_cache_counter_parity;
+        Alcotest.test_case "device view faults after unmap" `Quick
+          test_device_view_unmap_faults;
+        Alcotest.test_case "device view follows remap" `Quick
+          test_device_view_remap_reads_new_frame;
+        Alcotest.test_case "find_u32 keeps tlb counters" `Quick test_find_u32_counter_parity;
+        Alcotest.test_case "find_u32 faults like read_u32" `Quick
+          test_find_u32_faults_like_read;
       ] );
     ( "hypervisor.interrupt",
       [
