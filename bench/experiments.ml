@@ -1896,30 +1896,6 @@ let fleet () =
     "zipf(1.0) offered load: per-guest mean-latency spread %.2fx (1.0 = fair)"
     fairness;
 
-  (* -- dispatch: least-loaded scan vs power-of-two-choices -- *)
-  let wide c = { c with Paradice.Config.channels_per_guest = 16 } in
-  let dispatch_cfg d = { (wide Paradice.Config.default) with Paradice.Config.dispatch = d } in
-  let run_dispatch d =
-    let specs =
-      FL.make_specs ~shards:4 ~seed ~ops:uniform ~config:(dispatch_cfg d) ()
-    in
-    let results, wall = timed_run specs in
-    let merged =
-      Sim.Stats.merge "lat" (List.map (fun g -> g.FL.g_lat) (FL.all_guests results))
-    in
-    let err = Array.fold_left (fun a r -> a + r.FL.r_err) 0 results in
-    (wall, Sim.Stats.p99 merged, err)
-  in
-  let ll_wall, ll_p99, ll_err = run_dispatch Paradice.Config.Least_loaded in
-  let p2c_wall, p2c_p99, p2c_err = run_dispatch Paradice.Config.Two_choices in
-  Report.table
-    ~header:[ "dispatch (16 rings/guest)"; "wall s"; "p99 us"; "errs" ]
-    [
-      [ "least-loaded scan"; Report.f2 ll_wall; Report.f1 ll_p99; string_of_int ll_err ];
-      [ "two-choices"; Report.f2 p2c_wall; Report.f1 p2c_p99; string_of_int p2c_err ];
-    ];
-  Report.note "two-choices probes 2 rings per op instead of scanning all 16";
-
   (* -- CI artifact -- *)
   let oc = open_out "BENCH_fleet.json" in
   Printf.fprintf oc
@@ -1935,11 +1911,7 @@ let fleet () =
   "speedup_1_to_4": %.3f,
   "deterministic_across_domains": %b,
   "zipf_fairness": %.3f,
-  "zipf_errors": %d,
-  "dispatch": {
-    "least_loaded": {"wall_s": %.3f, "p99_us": %.3f, "errors": %d},
-    "two_choices": {"wall_s": %.3f, "p99_us": %.3f, "errors": %d}
-  }
+  "zipf_errors": %d
 }
 |}
     !scale cores guests base_ops
@@ -1953,8 +1925,7 @@ let fleet () =
               (Sim.Stats.median merged) (Sim.Stats.p99 merged)
               (Sim.Stats.p999 merged) err)
           scaling))
-    speedup_4 deterministic fairness zerr ll_wall ll_p99 ll_err p2c_wall
-    p2c_p99 p2c_err;
+    speedup_4 deterministic fairness zerr;
   close_out oc;
   Report.note "wrote BENCH_fleet.json";
 
@@ -1977,8 +1948,6 @@ let fleet () =
   if Float.is_nan fairness || fairness > 3.0 then
     failwith
       (Printf.sprintf "fleet: zipf fairness %.2f exceeds 3.0" fairness);
-  if ll_err > 0 || p2c_err > 0 then
-    failwith "fleet: errored ops in dispatch comparison";
   if cores >= 4 then begin
     if speedup_4 < 3.0 then
       failwith

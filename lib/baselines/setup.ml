@@ -13,13 +13,12 @@ type mode =
 let mode_label = function
   | Native -> "Native"
   | Device_assign -> "Device-Assign."
-  | Paradice c -> (
-      match c.Paradice.Config.comm_mode with
-      | Paradice.Config.Interrupts ->
-          if c.Paradice.Config.hybrid then "Paradice(H)"
-          else if c.Paradice.Config.data_isolation then "Paradice(DI)"
-          else "Paradice"
-      | Paradice.Config.Polling -> "Paradice(P)")
+  | Paradice c ->
+      let w = c.Paradice.Config.poll_window_us in
+      if w = infinity then "Paradice(P)"
+      else if w > 0. then "Paradice(H)"
+      else if c.Paradice.Config.data_isolation then "Paradice(DI)"
+      else "Paradice"
   | Paradice_freebsd _ -> "Paradice(FL)"
 
 type device = Gpu | Mouse | Keyboard | Camera | Audio | Netmap | Null

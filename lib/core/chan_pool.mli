@@ -8,13 +8,7 @@ type t
 exception Busy
 (** The guest has [max_queued_ops] operations outstanding already. *)
 
-(** [rng] switches dispatch from the full least-loaded scan to
-    power-of-two-choices over its (deterministic) stream: probe two
-    distinct rings, take the lighter, ties to the lower index.  O(1)
-    per op instead of O(channels); the backend passes a per-link
-    stream derived from [Config.dispatch_seed] when
-    [Config.dispatch = Two_choices]. *)
-val create : ?rng:Sim.Rng.t -> Channel.t array -> cap:int -> t
+val create : Channel.t array -> cap:int -> t
 
 (** Operations currently in flight or waiting for a ring slot. *)
 val pending : t -> int
@@ -27,11 +21,9 @@ val notify_channel : t -> Channel.t
 
 val iter_channels : t -> (Channel.t -> unit) -> unit
 
-(** Live notification-mode switch applied to every channel (see
-    {!Channel.set_comm_mode} / {!Channel.set_hybrid}). *)
-val set_comm_mode : t -> Config.comm_mode -> unit
-
-val set_hybrid : t -> bool -> unit
+(** Live poll-window switch applied to every channel (see
+    {!Channel.set_poll_window}). *)
+val set_poll_window : t -> float -> unit
 
 (** Retire every channel (planned handoff — see {!Channel.retire}). *)
 val retire : t -> unit
@@ -61,8 +53,8 @@ type stats = {
   retries : int;
   stale_responses : int;
   protocol_violations : int;  (** responds on slots not in service *)
-  req_poll_pickups : int;  (** hybrid request handoffs at polling cost *)
-  resp_poll_deliveries : int;  (** hybrid response handoffs at polling cost *)
+  req_poll_pickups : int;  (** request handoffs at polling cost *)
+  resp_poll_deliveries : int;  (** response handoffs at polling cost *)
 }
 
 val stats : t -> stats

@@ -4,10 +4,20 @@
     The frontend serialises file operations into ring slots in the
     shared region and rings a doorbell; the backend drains every ready
     descriptor per wakeup and publishes responses the same way back.
-    Two signalling modes exist:
-    - {b interrupts}: each doorbell leg is an inter-VM interrupt (~17 us);
-    - {b polling}: both sides spin on the ring head, so a handoff costs
-      under a microsecond.
+
+    {b Notification.}  One state machine signals both directions,
+    parametrised by the poll window [w] ([Config.poll_window_us], live
+    via {!set_poll_window}): a side that finds the ring dry keeps
+    polling it for [w] before it sleeps.  A handoff to a polling
+    receiver costs [polling_latency_us] (a shared-page pickup); a
+    handoff to a sleeping one is an inter-VM interrupt,
+    [interrupt_latency_us].  [w = 0] is the paper's interrupt mode
+    (~17 us per leg), [w = infinity] its polling mode (a side never
+    sleeps, every handoff costs under a microsecond) and a short
+    window the NAPI-style hybrid: an interrupt wakes an idle side,
+    which then rides polling-cost handoffs while work keeps arriving.
+    A backend's dry polling per wakeup is capped at
+    [poll_budget_windows] windows, so a trickle load cannot pin a CPU.
 
     {b Ring layout.}  The shared region is a control page followed by
     slot pages:
@@ -20,17 +30,15 @@
     Up to [Config.ring_slots] RPCs may be in flight per channel; a
     publisher with no free slot blocks until one completes.
 
-    {b Doorbell coalescing.}  A doorbell leg is sent only when the
-    receiver might actually be asleep: while the backend is awake and
-    draining ([back_active]) — or an earlier request doorbell is still
-    in flight ([req_irq_pending]) — newly published descriptors are
-    picked up by the backend's next head re-scan at no signalling
-    cost.  Responses coalesce symmetrically on [resp_irq_pending]: one
-    interrupt delivers every response marked ready since the leg was
-    raised.  This is the adaptive-polling extension of the hot-poll
-    path: a busy receiver polls the ring head between operations and
-    never takes an interrupt; only an idle (possibly cold) receiver
-    needs one.
+    {b Doorbell coalescing.}  A handoff is sent only when the receiver
+    is not already draining: while the backend is awake and draining
+    ([back_active]) — or an earlier request handoff is still in flight
+    ([req_pending]) — newly published descriptors are picked up by the
+    backend's next head re-scan at no signalling cost.  Responses
+    coalesce symmetrically on [resp_pending]: one handoff delivers
+    every response marked ready since it was raised.  A busy receiver
+    polls the ring head between operations and never takes an
+    interrupt; only an idle (possibly cold) receiver needs one.
 
     {b Sequencing.}  Every publish stamps a fresh sequence number into
     the descriptor ({!Proto.seq_off}); the backend echoes the sequence
@@ -40,9 +48,10 @@
     and republishes its own request, which the stale response
     clobbered.
 
-    A channel whose receiving endpoint has been idle longer than the
-    cold threshold pays a per-leg surcharge (idle worker wakeup — see
-    {!Config}). *)
+    A handoff whose receiving endpoint has been idle longer than the
+    cold threshold pays a surcharge for its kind (idle worker wakeup —
+    see {!Config}), except towards a receiver inside a bounded poll
+    window, which is awake by construction. *)
 
 type t = {
   engine : Sim.Engine.t;
@@ -63,22 +72,15 @@ type t = {
                                    state word, a guest cannot rewrite it — so
                                    it is the authority on whether a respond
                                    pairs with an outstanding claim. *)
-  (* doorbell-coalescing state *)
+  (* notification state *)
+  mutable window : float; (* poll window; starts at [Config.poll_window_us] *)
   mutable back_active : bool; (* backend awake and draining the ring *)
-  mutable req_irq_pending : bool; (* a request doorbell leg is in flight *)
-  mutable resp_irq_pending : bool; (* a response doorbell leg is in flight *)
-  (* hybrid (NAPI-style) notification state.  While a side is inside
-     its bounded poll window the other side skips the interrupt leg and
-     hands work over at polling cost instead. *)
-  mutable back_polling : bool; (* backend inside its hybrid poll window *)
-  mutable req_poll_pending : bool; (* a request poll pickup is scheduled *)
-  mutable resp_poll_pending : bool; (* a response poll delivery is scheduled *)
-  mutable back_poll_budget_left : float; (* dry-poll budget this episode *)
-  (* runtime overrides for live mode switching: [None] defers to the
-     immutable [config], so defaults leave behaviour bit-identical *)
-  mutable mode_override : Config.comm_mode option;
-  mutable hybrid_override : bool option;
-  (* Cold-path tracking is per receiving endpoint: a leg towards a
+  mutable back_polling : bool; (* backend inside its poll window *)
+  mutable req_pending : bool; (* a request handoff is in flight *)
+  mutable resp_pending : bool; (* a response handoff is in flight *)
+  mutable poll_budget : float; (* dry-poll budget per wakeup *)
+  mutable back_poll_budget_left : float; (* dry-poll budget this wakeup *)
+  (* Cold-path tracking is per receiving endpoint: a full leg towards a
      worker that has been idle pays the cold surcharge (idle wakeup,
      scheduler, cache refill), while a recently-active receiver is
      hot.  This is what makes back-to-back no-ops cost ~35us while an
@@ -142,12 +144,26 @@ let notify_off = 512
    currently poll-watching for their response.  While it is non-zero
    the backend's [respond] skips the response interrupt and hands the
    completion over at polling cost instead (the frontend mirror of the
-   backend's hybrid poll window). *)
+   backend's poll window). *)
 let front_watch_off = 516
 let slot_off slot = Memory.Addr.page_size + (slot * Proto.slot_size)
 
 (* the control page holds up to 128 slot state words before notify_off *)
 let max_slots = notify_off / 4
+
+(* Dry polling a backend may spend per wakeup, in windows. *)
+let poll_budget_windows = 10.
+
+(* ---- live window switching ----
+   An operator may move a channel between interrupts, hybrid and
+   polling mid-stream.  A side already waiting finishes the wait it
+   started; the next one follows the new window.  The backend gets a
+   fresh dry-poll budget for it at once. *)
+
+let set_poll_window t window =
+  t.window <- window;
+  t.poll_budget <- poll_budget_windows *. window;
+  t.back_poll_budget_left <- t.poll_budget
 
 let create ?uid engine ~config ~phys ~guest_vm ~driver_vm =
   let uid =
@@ -174,95 +190,61 @@ let create ?uid engine ~config ~phys ~guest_vm ~driver_vm =
   for i = 0 to slots - 1 do
     Queue.push i free_slots
   done;
-  {
-    engine;
-    config;
-    region;
-    front_view = Hypervisor.Shared_page.view_of region guest_vm;
-    back_view = Hypervisor.Shared_page.view_of region driver_vm;
-    slots;
-    req_rx = Sim.Mailbox.create engine;
-    resp_box = Array.init slots (fun _ -> Sim.Mailbox.create engine);
-    notify_rx = Sim.Mailbox.create engine;
-    slot_sem = Sim.Semaphore.create slots;
-    free_slots;
-    next_seq = 0;
-    service_seq = Array.make slots 0;
-    service_active = Array.make slots false;
-    back_active = false;
-    req_irq_pending = false;
-    resp_irq_pending = false;
-    back_polling = false;
-    req_poll_pending = false;
-    resp_poll_pending = false;
-    back_poll_budget_left = config.Config.hybrid_poll_budget_us;
-    mode_override = None;
-    hybrid_override = None;
-    front_last_wake = neg_infinity;
-    back_last_wake = neg_infinity;
-    scan_cursor = 0;
-    legs = 0;
-    cold_legs = 0;
-    rpcs = 0;
-    in_flight = 0;
-    max_in_flight = 0;
-    in_service = 0;
-    notifications = 0;
-    pending_notify = false;
-    notify_seen = 0;
-    stale_responses = 0;
-    protocol_violations = 0;
-    req_poll_pickups = 0;
-    resp_poll_deliveries = 0;
-    dead = false;
-    retired = false;
-    timeouts = 0;
-    retries = 0;
-    tracer = config.Config.tracer;
-    chan_uid = uid;
-    service_trace = Array.make slots 0;
-    back_copy = Bytes.empty;
-  }
+  let t =
+    {
+      engine;
+      config;
+      region;
+      front_view = Hypervisor.Shared_page.view_of region guest_vm;
+      back_view = Hypervisor.Shared_page.view_of region driver_vm;
+      slots;
+      req_rx = Sim.Mailbox.create engine;
+      resp_box = Array.init slots (fun _ -> Sim.Mailbox.create engine);
+      notify_rx = Sim.Mailbox.create engine;
+      slot_sem = Sim.Semaphore.create slots;
+      free_slots;
+      next_seq = 0;
+      service_seq = Array.make slots 0;
+      service_active = Array.make slots false;
+      window = 0.; (* with the budget, by set_poll_window below *)
+      back_active = false;
+      back_polling = false;
+      req_pending = false;
+      resp_pending = false;
+      poll_budget = 0.;
+      back_poll_budget_left = 0.;
+      front_last_wake = neg_infinity;
+      back_last_wake = neg_infinity;
+      scan_cursor = 0;
+      legs = 0;
+      cold_legs = 0;
+      rpcs = 0;
+      in_flight = 0;
+      max_in_flight = 0;
+      in_service = 0;
+      notifications = 0;
+      pending_notify = false;
+      notify_seen = 0;
+      stale_responses = 0;
+      protocol_violations = 0;
+      req_poll_pickups = 0;
+      resp_poll_deliveries = 0;
+      dead = false;
+      retired = false;
+      timeouts = 0;
+      retries = 0;
+      tracer = config.Config.tracer;
+      chan_uid = uid;
+      service_trace = Array.make slots 0;
+      back_copy = Bytes.empty;
+    }
+  in
+  (* the configured window applies like a live switch *)
+  set_poll_window t config.Config.poll_window_us;
+  t
 
 let is_dead t = t.dead
 let ring_slots t = t.slots
-
-(* ---- live mode switching ----
-   [Config.t] is immutable, so runtime notification-mode changes (an
-   operator flipping a fleet from interrupts to hybrid mid-stream) are
-   per-channel overrides consulted at every signalling decision.  The
-   default [None] defers to the config, leaving behaviour — and every
-   simulated-time table — bit-identical. *)
-
-let comm_mode t =
-  match t.mode_override with
-  | Some m -> m
-  | None -> t.config.Config.comm_mode
-
-let hybrid_enabled t =
-  match t.hybrid_override with
-  | Some h -> h
-  | None -> t.config.Config.hybrid
-
-let set_comm_mode t mode = t.mode_override <- Some mode
-
-let set_hybrid t on =
-  t.hybrid_override <- Some on;
-  (* a backend mid-window finishes that window; switching off leaves a
-     zero budget so no new window opens, switching on grants a fresh
-     episode budget immediately *)
-  t.back_poll_budget_left <-
-    (if on then t.config.Config.hybrid_poll_budget_us else 0.)
-
-let leg_latency t =
-  match comm_mode t with
-  | Config.Interrupts -> t.config.Config.interrupt_latency_us
-  | Config.Polling -> t.config.Config.polling_latency_us
-
-let cold_extra t =
-  match comm_mode t with
-  | Config.Interrupts -> t.config.Config.cold_extra_interrupt_us
-  | Config.Polling -> t.config.Config.cold_extra_polling_us
 
 (** No operation in flight on either side of the ring. *)
 let quiescent t = t.in_flight = 0 && t.in_service = 0
@@ -317,35 +299,36 @@ let fault_fires t key =
   | None -> false
   | Some inj -> Sim.Fault_inject.fires inj ~key
 
-(* One signalling leg towards [receiver]: transfer latency, plus the
-   cold surcharge when that receiver has been idle.  [k] runs in
-   engine context on arrival. *)
-let leg t ~receiver k =
+(* A receiver inside a bounded poll window is awake by construction:
+   a handoff to it pays no cold surcharge and has no doorbell a fault
+   could drop.  Any other handoff is a full leg: the receiver is asleep
+   behind an interrupt, or a dedicated poller (unbounded window) that
+   may have gone cold. *)
+let full_leg t ~polling = (not polling) || t.window = infinity
+
+(* One handoff towards [receiver]: [polling_latency_us] if it is
+   polling the ring, an [interrupt_latency_us] leg if it sleeps, plus
+   that kind's cold surcharge when a full leg finds it idle.  [k] runs
+   in engine context on arrival. *)
+let handoff t ~receiver ~polling k =
   let now = Sim.Engine.now t.engine in
   let last =
     match receiver with `Front -> t.front_last_wake | `Back -> t.back_last_wake
   in
-  let cold = now -. last > t.config.Config.cold_threshold_us in
+  let cold = full_leg t ~polling && now -. last > t.config.Config.cold_threshold_us in
   (match receiver with
   | `Front -> t.front_last_wake <- now
   | `Back -> t.back_last_wake <- now);
-  t.legs <- t.legs + 1;
+  if not polling then t.legs <- t.legs + 1;
   if cold then t.cold_legs <- t.cold_legs + 1;
-  let delay = leg_latency t +. (if cold then cold_extra t else 0.) in
-  Sim.Engine.at t.engine ~delay k
-
-(* One poll handoff towards an actively-polling receiver: no interrupt,
-   no cold surcharge (a poll-watcher is awake by definition), just the
-   shared-page pickup latency.  This is the hybrid win: while the
-   receiver stays inside its window every transfer costs
-   [polling_latency_us] even though the channel's steady-state mode is
-   interrupts. *)
-let poll_handoff t ~receiver k =
-  let now = Sim.Engine.now t.engine in
-  (match receiver with
-  | `Front -> t.front_last_wake <- now
-  | `Back -> t.back_last_wake <- now);
-  Sim.Engine.at t.engine ~delay:t.config.Config.polling_latency_us k
+  let c = t.config in
+  let latency = if polling then c.Config.polling_latency_us else c.Config.interrupt_latency_us in
+  if cold then
+    let extra = if polling then c.Config.cold_extra_polling_us else c.Config.cold_extra_interrupt_us in
+    Sim.Engine.at t.engine ~delay:(latency +. extra) k
+  else
+    (* the configured float itself: nothing to box on the hot path *)
+    Sim.Engine.at t.engine ~delay:latency k
 
 let marshal t = Sim.Engine.wait t.config.Config.marshal_us
 
@@ -370,51 +353,38 @@ let occupancy_sample t =
   end
 
 (* Request doorbell, with the injected transport faults applied.  The
-   delay fault stalls the publish path; the drop fault loses the
-   doorbell (evaluated only when a leg would actually be sent — a
-   coalesced publish has no doorbell to lose).  A suppressed doorbell
-   is the coalescing win: the backend is either draining (it will see
-   the descriptor on its next head re-scan) or already has an
-   interrupt in flight that covers every descriptor marked since. *)
+   delay fault stalls the publish path; the drop fault loses a full
+   leg (evaluated only when one would actually be sent — a coalesced
+   publish or a pickup inside a bounded window has no doorbell to
+   lose).  A backend inside its poll window takes the descriptor at
+   polling cost, a sleeping one needs an interrupt.  A suppressed
+   doorbell is the coalescing win: the backend is either draining (it
+   will see the descriptor on its next head re-scan) or already has a
+   handoff in flight that covers every descriptor marked since. *)
 let ring_req_doorbell t ~trace =
   if fault_fires t site_delay_req then
     Sim.Engine.wait t.config.Config.fault_delay_us;
-  if t.back_polling then begin
-    (* the backend is inside its hybrid poll window: no interrupt —
-       schedule a poll pickup token at polling cost (coalesced while
-       one is already scheduled; the backend's re-scan drains every
-       descriptor published meanwhile) *)
-    m_incr t "doorbell.req_suppressed";
-    if not t.req_poll_pending then begin
-      t.req_poll_pending <- true;
-      t.req_poll_pickups <- t.req_poll_pickups + 1;
+  let polling = t.back_polling in
+  if polling then m_incr t "doorbell.req_suppressed";
+  if (polling || not t.back_active) && not t.req_pending then begin
+    if full_leg t ~polling && fault_fires t site_drop_req then
+      m_incr t "fault.doorbell_dropped"
+    else begin
+      t.req_pending <- true;
+      if polling then t.req_poll_pickups <- t.req_poll_pickups + 1
+      else m_incr t "doorbell.req_legs";
       let sp =
         Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Transport
-          ~cat:"stage" ~name:"doorbell:req_poll" ()
+          ~cat:"stage" ~name:(if polling then "doorbell:req_poll" else "doorbell:req") ()
       in
-      poll_handoff t ~receiver:`Back (fun () ->
-          t.req_poll_pending <- false;
-          Obs.Trace.span_end t.tracer sp;
-          Sim.Mailbox.send t.req_rx ())
-    end
-  end
-  else if (not t.back_active) && not t.req_irq_pending then begin
-    if not (fault_fires t site_drop_req) then begin
-      t.req_irq_pending <- true;
-      m_incr t "doorbell.req_legs";
-      let sp =
-        Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Transport
-          ~cat:"stage" ~name:"doorbell:req" ()
-      in
-      leg t ~receiver:`Back (fun () ->
-          t.req_irq_pending <- false;
+      handoff t ~receiver:`Back ~polling (fun () ->
+          t.req_pending <- false;
           t.back_active <- true;
           Obs.Trace.span_end t.tracer sp;
           Sim.Mailbox.send t.req_rx ())
     end
-    else m_incr t "fault.doorbell_dropped"
   end
-  else m_incr t "doorbell.req_coalesced"
+  else if not polling then m_incr t "doorbell.req_coalesced"
 
 (* Publish one request descriptor: marshal, stamp the attempt's
    sequence number, write the slot, mark it ready, ring.  Corruption
@@ -452,42 +422,50 @@ let rec deliver_from t first =
     if slot + 1 < t.slots then deliver_from t (slot + 1)
   end
 
-(* Response-interrupt arrival: deliver every response published since
-   the leg was raised (engine context: page reads and mailbox sends
-   only, no waits). *)
+(* Response handoff arrival: deliver every response published since
+   the handoff was raised (engine context: page reads and mailbox
+   sends only, no waits). *)
 let deliver_responses t =
-  t.resp_irq_pending <- false;
+  t.resp_pending <- false;
   if not t.dead then deliver_from t 0
 
 let fresh_seq t =
   t.next_seq <- t.next_seq + 1;
   t.next_seq
 
-(* Hybrid frontend mirror: poll-watch the response for one window
-   before sleeping behind the response doorbell.  While the watch
-   counter in the control page is non-zero, [respond] skips the
-   interrupt and hands completions over at polling cost. *)
+(* One token from [box] within [timeout].  An unbounded wait blocks
+   on the mailbox and schedules no timer: a timer at [infinity] would
+   be popped by moving the clock there once the run drains. *)
+let recv_within box ~timeout =
+  if timeout = infinity then begin
+    Sim.Mailbox.recv box;
+    Some ()
+  end
+  else Sim.Mailbox.recv_timeout box ~timeout
+
+(* Sleep for a response token under the RPC deadline (0 = none). *)
+let block box ~deadline =
+  if deadline > 0. then Sim.Mailbox.recv_timeout box ~timeout:deadline
+  else recv_within box ~timeout:infinity
+
+(* Frontend mirror of the backend's window: poll-watch the response
+   for up to [timeout] before sleeping behind the response doorbell.
+   While the watch counter in the control page is non-zero, [respond]
+   skips the interrupt and hands completions over at polling cost. *)
 let unwatch t =
   let v = Hypervisor.Shared_page.read_u32 t.front_view ~offset:front_watch_off in
   Hypervisor.Shared_page.write_u32 t.front_view ~offset:front_watch_off (max 0 (v - 1))
 
-let watch t box ~window =
+let watch t box ~timeout =
   let v = Hypervisor.Shared_page.read_u32 t.front_view ~offset:front_watch_off in
   Hypervisor.Shared_page.write_u32 t.front_view ~offset:front_watch_off (v + 1);
-  match Sim.Mailbox.recv_timeout box ~timeout:window with
+  match recv_within box ~timeout with
   | got ->
       unwatch t;
       got
   | exception e ->
       unwatch t;
       raise e
-
-let block box ~deadline =
-  if deadline > 0. then Sim.Mailbox.recv_timeout box ~timeout:deadline
-  else begin
-    Sim.Mailbox.recv box;
-    Some ()
-  end
 
 (* The exchange's retry loop, on a claimed [slot].  Plain recursive
    functions rather than local closures: nothing per attempt is
@@ -500,17 +478,18 @@ let rec attempt t ~slot ~deadline ~trace ~encode ~decode tries_left =
 
 and await t ~slot ~seq ~deadline ~trace ~encode ~decode tries_left =
   let box = t.resp_box.(slot) in
+  let window = t.window in
   let got =
-    if hybrid_enabled t && not t.dead then begin
-      let window = t.config.Config.hybrid_poll_window_us in
-      let window = if deadline > 0. then min window deadline else window in
-      match watch t box ~window with
+    if window > 0. && not t.dead then begin
+      let timeout = if deadline > 0. then min window deadline else window in
+      match watch t box ~timeout with
       | Some () as watched -> watched
       | None ->
-          (* window dry: re-arm the response doorbell and sleep (the
-             full deadline still applies — a dry watch window is
-             polling time, not RPC time) *)
-          if t.dead then Some () else block box ~deadline
+          (* a bounded window ran dry: re-arm the response doorbell and
+             sleep (the full deadline still applies — a dry watch
+             window is polling time, not RPC time).  An unbounded
+             watch was the whole wait. *)
+          if window = infinity || t.dead then None else block box ~deadline
     end
     else block box ~deadline
   in
@@ -663,7 +642,7 @@ let scan_ready t =
 let rec drain t =
   (* the drain span measures the scan-and-claim work itself, so its
      start is stamped at the point the scan actually begins — not at
-     function entry, and never inside a hybrid poll window's wait,
+     function entry, and never inside a poll window's wait,
      which would inflate drain spans under load *)
   let start = Sim.Engine.now t.engine in
   let slot = scan_ready t in
@@ -686,18 +665,18 @@ let rec drain t =
       ~name:"back:drain" ~start ();
     Some (slot, bytes)
   end
-  else if hybrid_enabled t && t.back_poll_budget_left > 0. then begin
-    (* hybrid: the ring just went dry, but more work may be a
-       microsecond away.  Stay awake inside a bounded poll window —
-       publishes hand over at polling cost instead of raising an
-       interrupt — and only re-arm doorbells once a whole window passes
-       with nothing arriving (or the episode's dry-poll budget runs
-       out). *)
-    let window = min t.config.Config.hybrid_poll_window_us t.back_poll_budget_left in
+  else if t.back_poll_budget_left > 0. then begin
+    (* the ring just went dry, but more work may be a microsecond
+       away.  Stay awake inside the poll window — publishes hand over
+       at polling cost instead of raising an interrupt — and only
+       re-arm doorbells once a whole window passes with nothing
+       arriving (or the wakeup's dry-poll budget runs out).  An
+       unbounded window never runs dry. *)
+    let window = min t.window t.back_poll_budget_left in
     t.back_polling <- true;
     m_incr t "hybrid.poll_windows";
     let t0 = Sim.Engine.now t.engine in
-    let got = Sim.Mailbox.recv_timeout t.req_rx ~timeout:window in
+    let got = recv_within t.req_rx ~timeout:window in
     t.back_polling <- false;
     t.back_poll_budget_left <- t.back_poll_budget_left -. (Sim.Engine.now t.engine -. t0);
     match got with
@@ -715,9 +694,8 @@ and sleep t =
      flight and lands in the mailbox. *)
   t.back_active <- false;
   let () = Sim.Mailbox.recv t.req_rx in
-  (* a real doorbell wakeup starts a fresh hybrid episode *)
-  t.back_poll_budget_left <-
-    (if hybrid_enabled t then t.config.Config.hybrid_poll_budget_us else 0.);
+  (* a real doorbell wakeup starts a fresh dry-poll budget *)
+  t.back_poll_budget_left <- t.poll_budget;
   if t.dead then None else drain t
 
 (** Backend: block until a descriptor is ready and claim it; [None]
@@ -775,48 +753,36 @@ let respond t ~slot (resp : Proto.response) =
       st_resp_ready;
     t.in_service <- t.in_service - 1;
     Obs.Trace.span_end t.tracer sp;
-    if
-      Hypervisor.Shared_page.read_u32 t.back_view ~offset:front_watch_off > 0
-    then begin
-      (* the waiter is poll-watching (hybrid frontend mirror): skip the
-         interrupt, deliver at polling cost.  Coalesces like the
-         interrupt path: one scheduled delivery sweeps every response
-         marked ready since. *)
-      m_incr t "doorbell.resp_suppressed";
-      if not t.resp_poll_pending then begin
-        t.resp_poll_pending <- true;
-        t.resp_poll_deliveries <- t.resp_poll_deliveries + 1;
+    (* a waiter poll-watching its response, or any frontend under an
+       unbounded window, takes the completion at polling cost.  One
+       handoff in flight sweeps every response marked ready since. *)
+    let watched = Hypervisor.Shared_page.read_u32 t.back_view ~offset:front_watch_off > 0 in
+    let polling = watched || t.window = infinity in
+    if polling then m_incr t "doorbell.resp_suppressed";
+    if not t.resp_pending then begin
+      if full_leg t ~polling && fault_fires t site_drop_resp then
+        m_incr t "fault.doorbell_dropped"
+      else begin
+        t.resp_pending <- true;
+        if polling then t.resp_poll_deliveries <- t.resp_poll_deliveries + 1
+        else m_incr t "doorbell.resp_legs";
         let db_sp =
-          Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Transport
-            ~cat:"stage" ~name:"doorbell:resp_poll" ()
+          Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Transport ~cat:"stage"
+            ~name:(if polling then "doorbell:resp_poll" else "doorbell:resp") ()
         in
-        poll_handoff t ~receiver:`Front (fun () ->
-            t.resp_poll_pending <- false;
+        handoff t ~receiver:`Front ~polling (fun () ->
             Obs.Trace.span_end t.tracer db_sp;
             deliver_responses t)
       end
     end
-    else if not t.resp_irq_pending then begin
-      if not (fault_fires t site_drop_resp) then begin
-        t.resp_irq_pending <- true;
-        m_incr t "doorbell.resp_legs";
-        let db_sp =
-          Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Transport
-            ~cat:"stage" ~name:"doorbell:resp" ()
-        in
-        leg t ~receiver:`Front (fun () ->
-            Obs.Trace.span_end t.tracer db_sp;
-            deliver_responses t)
-      end
-      else m_incr t "fault.doorbell_dropped"
-    end
-    else m_incr t "doorbell.resp_coalesced"
+    else if not polling then m_incr t "doorbell.resp_coalesced"
   end
 
 (** Backend: asynchronous notification towards the frontend (§5.1's
     "message to the frontend, e.g., when the keyboard is pressed").
     Runs in callback context (no waits): marshal cost is folded into
-    the leg. *)
+    the leg.  The notification dispatcher does not poll-watch, so it
+    polls only under an unbounded window. *)
 let notify_mask = 0xffff_ffff
 
 let notify t =
@@ -834,7 +800,8 @@ let notify t =
     if not t.pending_notify then begin
       t.pending_notify <- true;
       m_incr t "notify.legs";
-      leg t ~receiver:`Front (fun () -> Sim.Mailbox.send t.notify_rx ())
+      handoff t ~receiver:`Front ~polling:(t.window = infinity) (fun () ->
+          Sim.Mailbox.send t.notify_rx ())
     end
     else m_incr t "notify.collapsed"
   end

@@ -1,6 +1,7 @@
 (** CVD transport: a shared-memory descriptor ring plus inter-VM
-    signalling (§5.1), in interrupt or polling mode, with doorbell
-    coalescing, per-receiver cold-path accounting, sequence-numbered
+    signalling (§5.1) through one notification state machine
+    parametrised by a poll window (0 = interrupts, [infinity] =
+    polling, a short window = hybrid), with doorbell coalescing, per-receiver cold-path accounting, sequence-numbered
     at-least-once retries and signal-collapsing notifications. *)
 
 type t
@@ -21,23 +22,12 @@ val create :
 (** Ring depth: how many RPCs may be in flight on this channel. *)
 val ring_slots : t -> int
 
-(** Effective signalling mode, honouring any live override. *)
-val comm_mode : t -> Config.comm_mode
-
-(** Hybrid (NAPI-style) notification currently enabled, honouring any
-    live override: interrupt to wake, bounded ring polling while work
-    keeps arriving, doorbells suppressed meanwhile. *)
-val hybrid_enabled : t -> bool
-
-(** Live mode switch: override the config's signalling mode for this
-    channel from now on (in-flight legs keep the latency they were
-    scheduled with). *)
-val set_comm_mode : t -> Config.comm_mode -> unit
-
-(** Live hybrid switch: enable/disable the poll windows from now on.
-    Disabling lets a backend mid-window finish that window but opens no
-    new one; enabling grants a fresh dry-poll budget immediately. *)
-val set_hybrid : t -> bool -> unit
+(** Live poll-window switch ([Config.poll_window_us] is the initial
+    window): a side already waiting finishes the wait it started
+    (in-flight handoffs keep the latency they were scheduled with);
+    the next wait follows the new window, and the backend gets a fresh
+    dry-poll budget of 10 windows at once. *)
+val set_poll_window : t -> float -> unit
 
 (** Dispatch weight for {!Chan_pool}: outstanding frontend operations,
     heavily penalised while the backend worker is busy in the driver. *)
@@ -105,7 +95,7 @@ val next_request : t -> (int * bytes) option
     encoded after the marshal wait (dropped on a dead channel); the
     response interrupt coalesces with any already in flight (and is
     skipped entirely, in favour of a polling-cost handoff, while the
-    frontend waiter is poll-watching).  A respond on
+    frontend is polling).  A respond on
     a slot that is not in service — double-complete, never claimed, or
     a guest rewriting the state word — is a counted protocol violation
     and raises EIO instead of corrupting ring accounting. *)
@@ -128,7 +118,9 @@ val next_notification : t -> int option
 val preset_notify_counter : t -> int -> unit
 
 (** Fault-site keys understood by this module (armed on the
-    [Config.injector]); all act at doorbell-leg granularity. *)
+    [Config.injector]); all act at doorbell-leg granularity.  A drop
+    fault is asked only on a full leg: not on a coalesced publish, nor
+    on a handoff to a receiver inside a bounded poll window. *)
 val site_drop_req : string
 
 val site_drop_resp : string
@@ -145,8 +137,8 @@ type stats = {
   retries : int;
   stale_responses : int;  (** late answers to timed-out attempts, discarded *)
   protocol_violations : int;  (** responds on slots not in service *)
-  req_poll_pickups : int;  (** hybrid request handoffs at polling cost *)
-  resp_poll_deliveries : int;  (** hybrid response handoffs at polling cost *)
+  req_poll_pickups : int;  (** request handoffs at polling cost *)
+  resp_poll_deliveries : int;  (** response handoffs at polling cost *)
 }
 
 val stats : t -> stats

@@ -6,44 +6,31 @@
     - a no-op file operation costs ~35 us with interrupts, "most of
       which comes from two inter-VM interrupts", and ~2 us with
       polling;
-    - the CVD polls the shared page for 200 us before sleeping;
+    - a side that finds the ring dry keeps polling it for
+      [poll_window_us] before it sleeps (§5.1): 0 is the paper's
+      interrupt mode, [infinity] its polling mode, and a short window
+      the NAPI-style hybrid between them;
     - cold-path forwarding (an idle channel, as in the mouse-latency
       experiment) costs substantially more per leg than the hot
       pipelined path, which is why §6.1.5's mouse latency (296 us
       interrupts / 179 us polling) is far above 2 x the no-op cost.
       The cold surcharges below are calibrated to those two numbers. *)
 
-type comm_mode = Interrupts | Polling
-
 type ioctl_id_mode =
   | Analyzer_table (* static entries + JIT slices from the analyzer (§4.1) *)
   | Macro_only (* command-number decoding only: breaks nested-copy ioctls *)
 
-type dispatch =
-  | Least_loaded (* full scan of the guest's rings; ties -> lowest index *)
-  | Two_choices (* power-of-two-choices: probe two deterministic random
-                    rings, take the lighter (ties -> lower index).  O(1)
-                    per op instead of O(channels); the classic
-                    balls-in-bins result keeps the max load within a
-                    constant factor of the full scan. *)
-
 type t = {
-  comm_mode : comm_mode;
   (* -- transport -- *)
   interrupt_latency_us : float; (* one inter-VM interrupt, hot path *)
-  polling_latency_us : float; (* one shared-page handoff under polling *)
+  polling_latency_us : float; (* one shared-page handoff to a poller *)
   marshal_us : float; (* serialise/deserialise one message *)
-  poll_window_us : float; (* spin window before sleeping (§5.1) *)
-  hybrid : bool; (* NAPI-style adaptive notification: an interrupt wakes
-                     each side, which then polls the ring while work
-                     keeps arriving, suppressing further doorbells until
-                     the poll window drains dry *)
-  hybrid_poll_window_us : float; (* how long a dry hybrid poll waits for
-                                     more work before re-arming doorbells
-                                     and sleeping *)
-  hybrid_poll_budget_us : float; (* cap on cumulative dry polling per
-                                     wakeup episode, so a trickle load
-                                     cannot pin a CPU indefinitely *)
+  poll_window_us : float; (* how long a side keeps polling the ring
+                              after it goes dry before it sleeps and
+                              needs an interrupt again (§5.1): 0 =
+                              interrupts, infinity = polling (a
+                              dedicated polling CPU per side), a short
+                              window = NAPI-style hybrid *)
   cold_threshold_us : float; (* channel idle longer than this = cold *)
   cold_extra_interrupt_us : float; (* per-leg surcharge, cold, interrupts *)
   cold_extra_polling_us : float; (* per-leg surcharge, cold, polling *)
@@ -62,10 +49,6 @@ type t = {
                         a guest may have in flight on one channel before
                         publishers block (doorbells coalesce across all
                         descriptors queued since the last one) *)
-  dispatch : dispatch; (* how the pool routes an op to a ring *)
-  dispatch_seed : int64; (* seeds the per-link Two_choices probe stream
-                             (derived per guest VM id, so dispatch is
-                             deterministic and per-link independent) *)
   (* -- fault containment & recovery (§4.1, §7.2) -- *)
   rpc_timeout_us : float; (* per-attempt RPC deadline; 0 = block forever
                               (blocking reads on quiet devices are
@@ -130,14 +113,10 @@ type t = {
 
 let default =
   {
-    comm_mode = Interrupts;
     interrupt_latency_us = 17.3;
     polling_latency_us = 0.9;
     marshal_us = 0.1;
-    poll_window_us = 200.;
-    hybrid = false;
-    hybrid_poll_window_us = 20.;
-    hybrid_poll_budget_us = 200.;
+    poll_window_us = 0.;
     cold_threshold_us = 1_000.;
     cold_extra_interrupt_us = 103.2;
     cold_extra_polling_us = 60.7;
@@ -150,8 +129,6 @@ let default =
     max_queued_ops = 100;
     channels_per_guest = 4;
     ring_slots = 8;
-    dispatch = Least_loaded;
-    dispatch_seed = 0x5EEDL;
     rpc_timeout_us = 0.;
     rpc_retries = 2;
     heartbeat_interval_us = 0.;
@@ -177,16 +154,16 @@ let default =
     input_delivery_us = 38.4;
   }
 
-let polling = { default with comm_mode = Polling }
+let polling = { default with poll_window_us = infinity }
 
 (** Hybrid notification: interrupts to wake an idle side, bounded
     polling while the ring stays busy.  Steady-state cost approaches
     the polling figure without a dedicated polling CPU per channel. *)
-let hybrid = { default with hybrid = true }
+let hybrid = { default with poll_window_us = 20. }
 
 let with_data_isolation t = { t with data_isolation = true }
 
-(** The DSM-based cross-machine configuration sketched in Â§8's future
+(** The DSM-based cross-machine configuration sketched in §8's future
     work: guest VM and driver VM on separate physical hosts, the
     shared pages kept coherent over the network.  Each signalling leg
     then costs a network one-way plus the DSM protocol; this preset
@@ -199,21 +176,3 @@ let remote_dsm =
     cold_extra_interrupt_us = 103.2;
     cold_extra_polling_us = 103.2;
   }
-
-(** One-way transfer latency for the current mode (hot path). *)
-let leg_latency t =
-  match t.comm_mode with
-  | Interrupts -> t.interrupt_latency_us
-  | Polling -> t.polling_latency_us
-
-let cold_extra t =
-  match t.comm_mode with
-  | Interrupts -> t.cold_extra_interrupt_us
-  | Polling -> t.cold_extra_polling_us
-
-let mode_name t =
-  match (t.comm_mode, t.hybrid) with
-  | Interrupts, false -> "interrupts"
-  | Interrupts, true -> "hybrid"
-  | Polling, false -> "polling"
-  | Polling, true -> "polling+hybrid"

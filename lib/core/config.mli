@@ -1,31 +1,19 @@
 (** Paradice configuration: every tunable of the system and of its
     calibrated performance model (see EXPERIMENTS.md §Calibration). *)
 
-type comm_mode = Interrupts | Polling
-
 type ioctl_id_mode =
   | Analyzer_table (** static entries + JIT slices (§4.1) *)
   | Macro_only (** command-number decoding only; nested ioctls fail *)
 
-type dispatch =
-  | Least_loaded (** full ring scan; ties -> lowest index (default) *)
-  | Two_choices
-      (** power-of-two-choices: probe two deterministic random rings,
-          take the lighter — O(1) per op instead of O(channels) *)
-
 type t = {
-  comm_mode : comm_mode;
   interrupt_latency_us : float;
   polling_latency_us : float;
   marshal_us : float;
   poll_window_us : float;
-  hybrid : bool;
-      (** NAPI-style adaptive notification: interrupt to wake, poll
-          while work keeps arriving, doorbells suppressed meanwhile *)
-  hybrid_poll_window_us : float;
-      (** dry-poll wait for more work before re-arming doorbells *)
-  hybrid_poll_budget_us : float;
-      (** cumulative dry-polling cap per wakeup episode *)
+      (** how long a side keeps polling the ring after it goes dry
+          before it sleeps: 0 = interrupts, [infinity] = polling, a
+          short window = NAPI-style hybrid (interrupt to wake, poll
+          while work keeps arriving) *)
   cold_threshold_us : float;
   cold_extra_interrupt_us : float;
   cold_extra_polling_us : float;
@@ -39,10 +27,6 @@ type t = {
   channels_per_guest : int;
   ring_slots : int;
       (** descriptor-ring depth per channel (in-flight RPC bound) *)
-  dispatch : dispatch;  (** how the pool routes an op to a ring *)
-  dispatch_seed : int64;
-      (** seeds the per-link [Two_choices] probe stream (derived per
-          guest VM id: deterministic, per-link independent) *)
   rpc_timeout_us : float;
       (** per-attempt RPC deadline; 0 = block forever (default) *)
   rpc_retries : int;  (** resends after a timeout before ETIMEDOUT *)
@@ -80,17 +64,16 @@ type t = {
   input_delivery_us : float;
 }
 
+(** Interrupts: [poll_window_us = 0]. *)
 val default : t
+
+(** A side polls for ever: [poll_window_us = infinity]. *)
 val polling : t
 
-(** Interrupt wake + bounded ring polling ({!field-hybrid} on). *)
+(** Interrupt wake + a 20 us poll window. *)
 val hybrid : t
 val with_data_isolation : t -> t
 
 (** §8's cross-machine DSM transport (future work), modelled as a
     10GbE RDMA-class interconnect. *)
 val remote_dsm : t
-
-val leg_latency : t -> float
-val cold_extra : t -> float
-val mode_name : t -> string

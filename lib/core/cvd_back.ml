@@ -89,7 +89,6 @@ let kill ?(poison = true) t =
   end
 
 let link_stats link = (link.ops_served, Chan_pool.stats link.pool)
-let links t = t.links
 let has_link t link = List.memq link t.links
 
 (* Fault-site keys (armed on [Config.injector]). *)
@@ -547,20 +546,7 @@ let connect t ~guest_vm =
           engine ~config:t.config ~phys:(Hypervisor.Hyp.phys t.hyp) ~guest_vm
           ~driver_vm:(Kernel.vm t.kernel))
   in
-  let rng =
-    match t.config.Config.dispatch with
-    | Config.Least_loaded -> None
-    | Config.Two_choices ->
-        (* keyed per link by guest VM id: dispatch draws are a pure
-           function of (dispatch_seed, vm id) — independent of how
-           many links exist or connect order *)
-        Some
-          (Sim.Rng.derive ~seed:t.config.Config.dispatch_seed
-             ~index:(Hypervisor.Vm.id guest_vm))
-  in
-  let pool =
-    Chan_pool.create ?rng channels ~cap:t.config.Config.max_queued_ops
-  in
+  let pool = Chan_pool.create channels ~cap:t.config.Config.max_queued_ops in
   let link =
     {
       guest_vm;

@@ -66,9 +66,6 @@ val connect : t -> guest_vm:Hypervisor.Vm.t -> guest_link
 
 (** {1 Planned handoff (hot upgrade / session migration)} *)
 
-(** Live links, most recently connected first. *)
-val links : t -> guest_link list
-
 (** Is this link one of ours?  (Which driver VM a migrating session
     currently lives on.) *)
 val has_link : t -> guest_link -> bool

@@ -3,8 +3,8 @@
     A fleet partitions its device classes (and the driver VMs serving
     them) across independent shards (see {!Fleet}).  This module is
     the control-plane map: which shards own which device class, how
-    many guest links and operations each shard carries, and — when the
-    load skews — which moves would even it out.
+    many guest links each shard carries, and — when the load skews —
+    which moves would even it out.
 
     Everything here is ordinary single-domain bookkeeping: routing
     decisions happen before shards start executing, and aggregation
@@ -16,7 +16,6 @@ type shard = {
   shard_id : int;
   mutable classes : string list; (* device classes owned, insertion order *)
   mutable links : int; (* guest links routed here *)
-  mutable ops : int; (* operations accounted against this shard *)
 }
 
 type t = {
@@ -31,11 +30,9 @@ let create ~shards:n =
   if n <= 0 then invalid_arg "Placement.create: shards must be positive";
   {
     shards =
-      Array.init n (fun shard_id -> { shard_id; classes = []; links = 0; ops = 0 });
+      Array.init n (fun shard_id -> { shard_id; classes = []; links = 0 });
     by_class = Hashtbl.create 8;
   }
-
-let shard_count t = Array.length t.shards
 
 let check_shard t shard =
   if shard < 0 || shard >= Array.length t.shards then
@@ -79,44 +76,6 @@ let route_open t cls =
       t.shards.(best).links <- t.shards.(best).links + 1;
       best
 
-(** A guest link on [shard] closed. *)
-let note_close t ~shard =
-  check_shard t shard;
-  let s = t.shards.(shard) in
-  s.links <- max 0 (s.links - 1)
-
-(** Account [n] completed operations against [shard]. *)
-let note_ops t ~shard n =
-  check_shard t shard;
-  t.shards.(shard).ops <- t.shards.(shard).ops + n
-
-let links t ~shard =
-  check_shard t shard;
-  t.shards.(shard).links
-
-let ops t ~shard =
-  check_shard t shard;
-  t.shards.(shard).ops
-
-let classes t ~shard =
-  check_shard t shard;
-  t.shards.(shard).classes
-
-(** Link-count imbalance across shards that own at least one class:
-    max/mean (1.0 = perfectly even; nan with no populated shard). *)
-let imbalance t =
-  let populated =
-    Array.to_list t.shards |> List.filter (fun s -> s.classes <> [])
-  in
-  match populated with
-  | [] -> nan
-  | _ ->
-      let loads = List.map (fun s -> float_of_int s.links) populated in
-      let mean =
-        List.fold_left ( +. ) 0. loads /. float_of_int (List.length loads)
-      in
-      if mean = 0. then 1. else List.fold_left Float.max neg_infinity loads /. mean
-
 type move = { mv_src : int; mv_dst : int; mv_count : int }
 
 (* Shards can exchange load only where their class sets intersect:
@@ -128,9 +87,9 @@ let share_class t a b =
 (** Plan link moves to even out the fleet: repeatedly shift one link
     from the most- to the least-loaded pair of shards sharing a device
     class, until every such pair is within one link.  Pure planning —
-    executing a move means migrating the guest's session (see
-    {!spread_to_replicas} for the intra-shard form built on PR 6's
-    checkpoint/restore).  Deterministic: ties → lowest shard id. *)
+    executing a move means migrating the guest's session
+    ({!Machine.migrate_guest}).  Deterministic: ties → lowest shard
+    id. *)
 let rebalance_plan t =
   let links = Array.map (fun s -> s.links) t.shards in
   let moves = Hashtbl.create 8 in
@@ -168,46 +127,3 @@ let rebalance_plan t =
     (fun (mv_src, mv_dst) mv_count acc -> { mv_src; mv_dst; mv_count } :: acc)
     moves []
   |> List.sort compare
-
-(** Intra-shard rebalance hook: spread a machine's guest sessions from
-    its primary driver VM across its live replicas until backend link
-    counts are within one, using {!Machine.migrate_guest} (PR 6's
-    checkpoint/restore) — so a hot shard grows capacity by booting
-    replicas, not by perturbing sibling shards.  Returns the number of
-    sessions moved; stops early after [max_moves] or on the first
-    non-[Migrated] outcome (the session is still whole on one side
-    either way).  Process context, like [migrate_guest]. *)
-let spread_to_replicas ?(max_moves = max_int) (m : Machine.t) =
-  let backends =
-    m.Machine.backend
-    :: List.map (fun r -> r.Machine.rep_backend) (Machine.replicas m)
-  in
-  match backends with
-  | [] | [ _ ] -> 0
-  | _ ->
-      let load b = List.length (Cvd_back.links b) in
-      let moved = ref 0 in
-      let continue = ref true in
-      while !continue && !moved < max_moves do
-        let hot =
-          List.fold_left (fun a b -> if load b > load a then b else a)
-            (List.hd backends) backends
-        and cold =
-          List.fold_left (fun a b -> if load b < load a then b else a)
-            (List.hd backends) backends
-        in
-        if load hot <= load cold + 1 then continue := false
-        else
-          match
-            List.find_opt
-              (fun g -> Cvd_back.has_link hot g.Machine.link)
-              (Machine.guests m)
-          with
-          | None -> continue := false
-          | Some g -> (
-              match Machine.migrate_guest m g ~dst:cold with
-              | Machine.Migrated _ -> incr moved
-              | Machine.Migrate_aborted _ | Machine.Migrate_failed_back _ ->
-                  continue := false)
-      done;
-      !moved

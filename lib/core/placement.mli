@@ -1,8 +1,8 @@
 (** Fleet placement: device-class → shard routing and load accounting.
 
     The fleet control plane: which shards own which device class, how
-    many guest links and operations each carries, and which moves
-    would even out a skewed fleet.  Used before shard domains start
+    many guest links each carries, and which moves would even out a
+    skewed fleet.  Used before shard domains start
     and after they join — never shared between running domains.  All
     decisions are deterministic (least-loaded, ties → lowest id). *)
 
@@ -12,7 +12,6 @@ exception No_owner of string
 (** Raised by {!route_open} for a device class no shard owns. *)
 
 val create : shards:int -> t
-val shard_count : t -> int
 
 (** Declare that [shard] serves device class [cls].  Idempotent. *)
 val register : t -> shard:int -> cls:string -> unit
@@ -25,27 +24,8 @@ val owners : t -> string -> int list
     {!No_owner}. *)
 val route_open : t -> string -> int
 
-val note_close : t -> shard:int -> unit
-
-(** Account [n] completed operations against [shard]. *)
-val note_ops : t -> shard:int -> int -> unit
-
-val links : t -> shard:int -> int
-val ops : t -> shard:int -> int
-val classes : t -> shard:int -> string list
-
-(** Link imbalance over shards owning ≥1 class: max/mean (1.0 =
-    even). *)
-val imbalance : t -> float
-
 type move = { mv_src : int; mv_dst : int; mv_count : int }
 
 (** Plan link moves (between shards sharing a device class) that bring
     every such pair within one link.  Pure planning; deterministic. *)
 val rebalance_plan : t -> move list
-
-(** Intra-shard rebalance hook: migrate guest sessions from the
-    machine's hottest backend to its coldest (primary or replica)
-    until within one link, via {!Machine.migrate_guest}.  Returns
-    sessions moved.  Process context. *)
-val spread_to_replicas : ?max_moves:int -> Machine.t -> int

@@ -95,10 +95,6 @@ let create ?(delivery_latency_us = 0.) kernel ~name =
 
 let read_latencies t = t.read_latencies
 
-(** Events queued but not yet read.  A batching frontend sizes one
-    multi-op read descriptor to drain exactly this backlog. *)
-let pending_events t = Queue.length t.queue
-
 let dropped_events t = t.dropped
 
 (** Hardware-side event injection (called by the mouse/keyboard models

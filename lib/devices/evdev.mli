@@ -37,10 +37,6 @@ val create : ?delivery_latency_us:float -> Oskit.Kernel.t -> name:string -> t
     it reaching the driver — the paper's §6.1.5 metric. *)
 val read_latencies : t -> float list
 
-(** Events queued but not yet read — lets a batching reader size one
-    multi-op descriptor to drain the backlog in a single ring slot. *)
-val pending_events : t -> int
-
 (** Events lost to queue overflow. *)
 val dropped_events : t -> int
 

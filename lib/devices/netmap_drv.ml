@@ -150,14 +150,6 @@ let free_slots t =
   let cur = hdr_read t hdr_cur and tail = hdr_read t hdr_tail in
   (tail - cur - 1 + t.num_slots) mod t.num_slots
 
-(** Slots published by the application but not yet transmitted —
-    [cur..tail) modulo ring size.  Sizes a batched txsync: issuing one
-    multi-op descriptor per [pending_tx] window amortises the doorbell
-    the same way netmap amortises the system call. *)
-let pending_tx t =
-  let cur = hdr_read t hdr_cur and tail = hdr_read t hdr_tail in
-  (cur - tail + t.num_slots) mod t.num_slots
-
 let ring_slots t = t.num_slots
 
 let file_ops t =

@@ -33,10 +33,6 @@ val start : t -> unit
 val txsync : t -> unit
 val free_slots : t -> int
 
-(** Slots published but not yet transmitted ([cur..tail) mod ring) —
-    sizes a batched txsync descriptor. *)
-val pending_tx : t -> int
-
 val ring_slots : t -> int
 val file_ops : t -> Oskit.Defs.file_ops
 

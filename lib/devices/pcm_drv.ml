@@ -42,10 +42,6 @@ let consumed_bytes t = t.consumed_bytes
 
 let bytes_per_second t = t.rate_hz * t.channels * t.sample_bytes
 
-(** Ring space available right now: a batched writer that stays under
-    this bound never blocks mid-batch. *)
-let free_bytes t = t.ring_capacity - t.ring_level
-
 (** Bytes per [period_us] of audio at the current parameters — the
     natural sub-op payload size for a batched period writer. *)
 let period_bytes t ~period_us =

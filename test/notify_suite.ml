@@ -1,10 +1,12 @@
-(* Deterministic notification-mode-switching sweep, run by `dune build
+(* Deterministic poll-window-switching sweep, run by `dune build
    @check` (or @notify-suite): a fixed schedule drives a continuous
-   operation stream across live mode switches and verifies that
+   operation stream across live window switches and verifies that
 
-   - crossing interrupt -> hybrid -> polling -> interrupt mid-stream
-     on live channels loses no operation, the hybrid leg rides
-     poll-cost handoffs, and the schedule is bit-identical across runs;
+   - crossing windows 0 -> 20 -> infinity -> 0 -> 20 us (interrupts,
+     hybrid, polling) mid-stream on live channels loses no operation,
+     the 0 phases take no poll handoff, the 20 us phases ride poll
+     pickups, the unbounded phase raises no interrupt, the clock ends
+     finite, and the schedule is bit-identical across runs;
    - a driver-VM crash (PR 1 recovery) landing while the backend sits
      inside a hybrid poll window neither wedges the machine nor leaks
      anything worse than the crash semantics (ENODEV after the fault,
@@ -28,7 +30,7 @@ let violation fmt =
   Printf.ksprintf (fun s -> violations := s :: !violations) fmt
 
 (* A streamed op every [gap_us]; back-to-back enough (gap < the 20 us
-   hybrid window) that the backend lives inside poll windows while the
+   poll window of [Config.hybrid]) that the backend lives inside poll windows while the
    stream runs.  Returns (ok, enodev, eio, other) counters that settle
    when the engine drains. *)
 let start_stream m (g : M.guest) ~ops ~gap_us =
@@ -49,7 +51,13 @@ let start_stream m (g : M.guest) ~ops ~gap_us =
           done);
   (ok, enodev, eio, other)
 
-(* ---- scenario 1: live switching, bit-identical across runs ---- *)
+(* ---- scenario 1: live window switching, bit-identical across runs ---- *)
+
+(* (switch time, poll window) in us.  A phase is judged from
+   [settle_us] after its switch to the next switch: a side already
+   waiting when the window changes finishes the wait it started. *)
+let schedule = [ (0., 0.); (500., 20.); (1_500., infinity); (2_500., 0.); (3_000., 20.) ]
+let settle_us = 100.
 
 let switch_run () =
   let m = M.create () in
@@ -57,36 +65,57 @@ let switch_run () =
   let g = M.add_guest m ~name:"g1" () in
   let pool = g.M.link.CB.pool in
   let ok, enodev, eio, other = start_stream m g ~ops:400 ~gap_us:5. in
-  let switch delay f = Sim.Engine.at (M.engine m) ~delay f in
-  switch 500. (fun () -> Pool.set_hybrid pool true);
-  switch 1_500. (fun () ->
-      Pool.set_hybrid pool false;
-      Pool.set_comm_mode pool Config.Polling);
-  switch 2_500. (fun () -> Pool.set_comm_mode pool Config.Interrupts);
-  switch 3_000. (fun () -> Pool.set_hybrid pool true);
+  (* per phase: stats once it has settled, and at its end *)
+  let n = List.length schedule in
+  let starts = Array.make n (Pool.stats pool) and ends = Array.make n (Pool.stats pool) in
+  List.iteri
+    (fun i (at, window) ->
+      Sim.Engine.at (M.engine m) ~delay:at (fun () ->
+          if i > 0 then ends.(i - 1) <- Pool.stats pool;
+          Pool.set_poll_window pool window);
+      Sim.Engine.at (M.engine m) ~delay:(at +. settle_us) (fun () ->
+          starts.(i) <- Pool.stats pool))
+    schedule;
   Sim.Engine.run (M.engine m);
-  let s = Pool.stats pool in
-  (!ok, !enodev, !eio, !other, s, Sim.Engine.now (M.engine m))
+  ends.(n - 1) <- Pool.stats pool;
+  let phases = List.mapi (fun i (_, window) -> (window, starts.(i), ends.(i))) schedule in
+  (!ok, !enodev, !eio, !other, phases, Sim.Engine.now (M.engine m))
 
 let scenario_switching () =
-  let ok, enodev, eio, other, s, t_end = switch_run () in
+  let ok, enodev, eio, other, phases, t_end = switch_run () in
   if ok <> 400 then violation "switching: %d/400 ops completed" ok;
   if enodev + eio + other > 0 then
     violation "switching: errors enodev=%d eio=%d other=%d" enodev eio other;
-  if s.Pool.req_poll_pickups = 0 then
-    violation "switching: hybrid phases rode no poll handoffs";
+  List.iter
+    (fun (window, (s0 : Pool.stats), (s1 : Pool.stats)) ->
+      let legs = s1.Pool.legs - s0.Pool.legs in
+      let pickups = s1.Pool.req_poll_pickups - s0.Pool.req_poll_pickups in
+      let deliveries = s1.Pool.resp_poll_deliveries - s0.Pool.resp_poll_deliveries in
+      if window = 0. && pickups + deliveries > 0 then
+        violation "switching: window 0 phase took %d poll handoffs" (pickups + deliveries);
+      if window = 0. && legs = 0 then violation "switching: window 0 phase raised no leg";
+      if window > 0. && pickups = 0 then
+        violation "switching: window %g phase rode no poll pickups" window;
+      if window = infinity && legs > 0 then
+        violation "switching: unbounded window phase raised %d interrupt legs" legs)
+    phases;
+  let _, _, s = List.nth phases (List.length phases - 1) in
   if s.Pool.protocol_violations > 0 then
     violation "switching: %d protocol violations" s.Pool.protocol_violations;
+  if not (Float.is_finite t_end) then
+    violation "switching: the run ended with the clock at %f" t_end;
   (* the schedule must not depend on hidden state: a second identical
      run lands on the same counters at the same simulated time *)
-  let ok2, _, _, _, s2, t_end2 = switch_run () in
-  if ok2 <> ok || s2 <> s || t_end2 <> t_end then
+  let ok2, _, _, _, phases2, t_end2 = switch_run () in
+  let _, _, s2 = List.nth phases2 (List.length phases2 - 1) in
+  if ok2 <> ok || phases2 <> phases || t_end2 <> t_end then
     violation
       "switching: runs diverged (ok %d vs %d, t_end %.3f vs %.3f, pickups %d vs %d)"
       ok ok2 t_end t_end2 s.Pool.req_poll_pickups s2.Pool.req_poll_pickups;
   Printf.printf
-    "notify suite: switching 400/400 ops, %d pickups + %d deliveries, %d legs, deterministic\n"
-    s.Pool.req_poll_pickups s.Pool.resp_poll_deliveries s.Pool.legs
+    "notify suite: switching 400/400 ops over windows 0/20/inf/0/20 us, %d pickups + %d \
+     deliveries, %d legs, ends at %.1f us, deterministic\n"
+    s.Pool.req_poll_pickups s.Pool.resp_poll_deliveries s.Pool.legs t_end
 
 (* ---- scenario 2: driver-VM crash inside a hybrid poll window ---- *)
 

@@ -455,6 +455,92 @@ let test_crash_site_kills_mid_rpc () =
       Alcotest.(check int) "recovered after reboot" 0
         (ok (Vfs.ioctl k app fd2 ~cmd:M.null_ioctl ~arg:0L)))
 
+(* Faults under a polling configuration.  Polling's frontend waits
+   inside an unbounded poll window, so that watch must be the attempt's
+   whole wait: a lost response costs one deadline, not a window and
+   then a deadline.  The times are pinned to those of the two-mode
+   transport this state machine replaced. *)
+let test_dropped_response_under_polling () =
+  let inj = Sim.Fault_inject.create ~seed:13L () in
+  let deadline = 500. in
+  let config =
+    {
+      Config.polling with
+      Config.injector = Some inj;
+      rpc_timeout_us = deadline;
+      rpc_retries = 2;
+    }
+  in
+  let m = M.create ~config () in
+  let (_ : Defs.device) = M.attach_null m in
+  let g = M.add_guest m ~name:"g1" () in
+  let eng = M.engine m in
+  let clean, faulty, finish =
+    run_in_process eng (fun () ->
+        let app = M.spawn_app m g.M.kernel ~name:"app" in
+        let k = g.M.kernel in
+        let fd = ok (Vfs.openf k app "/dev/null0") in
+        let timed () =
+          let t0 = Sim.Engine.now eng in
+          Alcotest.(check int) "ioctl completes" 0
+            (ok (Vfs.ioctl k app fd ~cmd:M.null_ioctl ~arg:0L));
+          Sim.Engine.now eng -. t0
+        in
+        let clean = timed () in
+        Sim.Fault_inject.arm inj ~key:Channel.site_drop_resp (Sim.Fault_inject.Nth 1);
+        let faulty = timed () in
+        (clean, faulty, Sim.Engine.now eng))
+  in
+  Alcotest.(check int) "the response drop fired once" 1
+    (Sim.Fault_inject.fired inj ~key:Channel.site_drop_resp);
+  let _, _, stats = Cvd_front.stats g.M.frontend in
+  Alcotest.(check int) "one timeout" 1 stats.Paradice.Chan_pool.timeouts;
+  Alcotest.(check int) "one resend" 1 stats.Paradice.Chan_pool.retries;
+  Alcotest.(check bool)
+    (Printf.sprintf "one deadline lost (clean %.3f us, faulty %.3f us)" clean faulty)
+    true
+    (faulty >= deadline && faulty < deadline +. (2. *. clean));
+  Alcotest.(check (float 0.)) "faulty op time" 502.9 faulty;
+  Alcotest.(check (float 0.)) "retry completes at" 629.9 finish
+
+(* A drop site is asked on exactly the handoffs that are full legs:
+   under every preset it is visited as often as under the two-mode
+   transport this state machine replaced (counts pinned from it).  Two
+   streams with short and long gaps cover coalesced publishes, poll
+   pickups inside a window and legs to a sleeping side. *)
+let drop_site_visits config =
+  let inj = Sim.Fault_inject.create ~seed:5L () in
+  let config = { config with Config.injector = Some inj } in
+  let m = M.create ~config () in
+  let (_ : Defs.device) = M.attach_null m in
+  let g = M.add_guest m ~name:"g1" () in
+  let stream ~name ~gap =
+    Sim.Engine.spawn (M.engine m) (fun () ->
+        let app = M.spawn_app m g.M.kernel ~name in
+        let k = g.M.kernel in
+        let fd = ok (Vfs.openf k app "/dev/null0") in
+        for _ = 1 to 30 do
+          Sim.Engine.wait gap;
+          ignore (ok (Vfs.ioctl k app fd ~cmd:M.null_ioctl ~arg:0L))
+        done)
+  in
+  stream ~name:"short" ~gap:3.;
+  stream ~name:"long" ~gap:45.;
+  Sim.Engine.run (M.engine m);
+  ( Sim.Fault_inject.seen inj ~key:Channel.site_drop_req,
+    Sim.Fault_inject.seen inj ~key:Channel.site_drop_resp )
+
+let test_drop_sites_per_preset () =
+  List.iter
+    (fun (name, config, expected) ->
+      Alcotest.(check (pair int int))
+        (name ^ ": drop_req / drop_resp visits") expected (drop_site_visits config))
+    [
+      ("interrupts", Config.default, (62, 62));
+      ("hybrid", Config.hybrid, (30, 0));
+      ("polling", Config.polling, (62, 62));
+    ]
+
 let suites =
   [
     ( "faults",
@@ -486,5 +572,9 @@ let suites =
           test_crash_aborts_spans_reattach_is_clean;
         Alcotest.test_case "poll spin does not starve the ring" `Quick
           test_poll_spin_does_not_starve_ring;
+        Alcotest.test_case "dropped response under polling" `Quick
+          test_dropped_response_under_polling;
+        Alcotest.test_case "drop sites visited per preset" `Quick
+          test_drop_sites_per_preset;
       ] );
   ]

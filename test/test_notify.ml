@@ -1,8 +1,8 @@
-(* Hybrid (NAPI-style) notification, multi-op batched descriptors, and
-   the ring-accounting bugfixes that rode along: double-complete is a
-   counted protocol violation, the notify counter wraps at 2^32,
-   back:drain spans start where the scan starts, and the forwarded-poll
-   backoff adapts under hybrid notification. *)
+(* Poll-window notification (hybrid and live window switching),
+   multi-op batched descriptors, and the ring-accounting bugfixes that
+   rode along: double-complete is a counted protocol violation, the
+   notify counter wraps at 2^32, back:drain spans start where the scan
+   starts, and the forwarded-poll backoff adapts to the window. *)
 
 module M = Paradice.Machine
 module Ch = Paradice.Channel
@@ -317,9 +317,12 @@ let test_hybrid_noop_latency_near_polling () =
     (hst.Paradice.Chan_pool.legs < 20)
 
 let test_live_mode_switch_on_channel () =
-  (* interrupt -> hybrid -> polling -> back, mid-stream on one raw
-     channel with a live echo backend: every exchange completes in
-     every mode and the poll-cost handoffs only appear under hybrid. *)
+  (* poll window 0 -> 20 -> infinity -> 0 -> 20, mid-stream on one raw
+     channel with a live echo backend: every exchange completes under
+     every window, poll-cost handoffs appear only with a window, and
+     an unbounded one raises no interrupt.  One settling exchange after
+     each switch lets a side finish the wait it had already started
+     under the old window. *)
   let m, g = boot_null () in
   let ch = raw_channel (m, g) in
   let eng = M.engine m in
@@ -333,33 +336,43 @@ let test_live_mode_switch_on_channel () =
       in
       loop ());
   let completed = ref 0 in
+  let exchange () =
+    Ch.rpc ch ~trace:0 ~encode:(P.encoded noop_req) ~decode:ignore;
+    incr completed
+  in
   run_in eng (fun () ->
-      let burst () =
-        for _ = 1 to 10 do
-          Ch.rpc ch ~trace:0 ~encode:(P.encoded noop_req) ~decode:ignore;
-          incr completed
-        done
-      in
-      Alcotest.(check bool) "starts in interrupt mode" true
-        (Ch.comm_mode ch = Config.Interrupts && not (Ch.hybrid_enabled ch));
-      burst ();
-      let s0 = Ch.stats ch in
-      Alcotest.(check int) "no handoffs in interrupt mode" 0
-        (s0.Ch.req_poll_pickups + s0.Ch.resp_poll_deliveries);
-      Ch.set_hybrid ch true;
-      burst ();
-      let s1 = Ch.stats ch in
-      Alcotest.(check bool) "hybrid burst rode poll handoffs" true
-        (s1.Ch.req_poll_pickups > 5);
-      Ch.set_hybrid ch false;
-      Ch.set_comm_mode ch Config.Polling;
-      burst ();
-      Ch.set_comm_mode ch Config.Interrupts;
-      burst ());
+      List.iter
+        (fun window ->
+          Ch.set_poll_window ch window;
+          exchange ();
+          let s0 = Ch.stats ch in
+          for _ = 1 to 10 do
+            exchange ()
+          done;
+          let s1 = Ch.stats ch in
+          let legs = s1.Ch.legs - s0.Ch.legs in
+          let pickups = s1.Ch.req_poll_pickups - s0.Ch.req_poll_pickups in
+          let deliveries = s1.Ch.resp_poll_deliveries - s0.Ch.resp_poll_deliveries in
+          let name = Printf.sprintf "window %g" window in
+          if window = 0. then begin
+            Alcotest.(check int) (name ^ ": no poll handoffs") 0 (pickups + deliveries);
+            Alcotest.(check int) (name ^ ": an interrupt pair per exchange") 20 legs
+          end
+          else begin
+            Alcotest.(check bool) (name ^ ": rode poll pickups") true (pickups > 5);
+            Alcotest.(check bool) (name ^ ": rode poll deliveries") true (deliveries > 5)
+          end;
+          if window = infinity then
+            Alcotest.(check int) (name ^ ": no interrupt leg") 0 legs)
+        [ 0.; 20.; infinity; 0.; 20. ]);
   Sim.Engine.spawn eng (fun () -> Ch.kill ~poison:true ch);
   Sim.Engine.run eng;
-  Alcotest.(check int) "every exchange completed across the switches" 40
-    !completed
+  Alcotest.(check int) "every exchange completed across the switches" 55
+    !completed;
+  (* an unbounded wait must leave no timer behind for the drained run
+     to pop at infinity *)
+  Alcotest.(check bool) "clock finite after the run" true
+    (Float.is_finite (Sim.Engine.now eng))
 
 let suites =
   [
