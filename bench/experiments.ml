@@ -1686,7 +1686,7 @@ let notify () =
           if
             counter = "doorbell.req_suppressed"
             || counter = "doorbell.resp_suppressed"
-            || counter = "hybrid.poll_windows"
+            || counter = "poll.windows"
           then Report.note "%s: counter %s = %d" name counter count)
         (Obs.Metrics.counters metrics))
     reconcile_rows;

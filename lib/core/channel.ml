@@ -253,7 +253,7 @@ let quiescent t = t.in_flight = 0 && t.in_service = 0
     with a whole ring's worth of penalty while the backend worker is
     inside the driver (it may be blocked indefinitely in a read or
     poll, so new work should prefer a channel whose worker is free). *)
-let load t = t.in_flight + (t.slots * min t.in_service 1)
+let load t = t.in_flight + (t.slots * Int.min t.in_service 1)
 
 (** Declare the channel dead (driver-VM crash).  With [poison] (the
     default) every blocked party — each slot's response waiter, the
@@ -454,7 +454,7 @@ let block box ~deadline =
    skips the interrupt and hands completions over at polling cost. *)
 let unwatch t =
   let v = Hypervisor.Shared_page.read_u32 t.front_view ~offset:front_watch_off in
-  Hypervisor.Shared_page.write_u32 t.front_view ~offset:front_watch_off (max 0 (v - 1))
+  Hypervisor.Shared_page.write_u32 t.front_view ~offset:front_watch_off (Int.max 0 (v - 1))
 
 let watch t box ~timeout =
   let v = Hypervisor.Shared_page.read_u32 t.front_view ~offset:front_watch_off in
@@ -481,7 +481,7 @@ and await t ~slot ~seq ~deadline ~trace ~encode ~decode tries_left =
   let window = t.window in
   let got =
     if window > 0. && not t.dead then begin
-      let timeout = if deadline > 0. then min window deadline else window in
+      let timeout = if deadline > 0. then Float.min window deadline else window in
       match watch t box ~timeout with
       | Some () as watched -> watched
       | None ->
@@ -571,7 +571,7 @@ let exchange ?timeout_us t ~trace ~encode ~decode =
     match timeout_us with Some d -> d | None -> t.config.Config.rpc_timeout_us
   in
   match
-    attempt t ~slot ~deadline ~trace ~encode ~decode (max 0 t.config.Config.rpc_retries)
+    attempt t ~slot ~deadline ~trace ~encode ~decode (Int.max 0 t.config.Config.rpc_retries)
   with
   | r ->
       release_slot t slot ring_sp;
@@ -672,9 +672,9 @@ let rec drain t =
        re-arm doorbells once a whole window passes with nothing
        arriving (or the wakeup's dry-poll budget runs out).  An
        unbounded window never runs dry. *)
-    let window = min t.window t.back_poll_budget_left in
+    let window = Float.min t.window t.back_poll_budget_left in
     t.back_polling <- true;
-    m_incr t "hybrid.poll_windows";
+    m_incr t "poll.windows";
     let t0 = Sim.Engine.now t.engine in
     let got = recv_within t.req_rx ~timeout:window in
     t.back_polling <- false;

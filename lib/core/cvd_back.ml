@@ -327,13 +327,13 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
           0)
   | Proto.Rread { vfd; buf; len } ->
       let fs = find_file link vfd in
-      link.max_dispatch_len <- max link.max_dispatch_len len;
+      link.max_dispatch_len <- Int.max link.max_dispatch_len len;
       wrap (fun () ->
           Kernel.charge_syscall kernel;
           fs.file.Defs.dev.Defs.ops.Defs.fop_read worker fs.file ~buf ~len)
   | Proto.Rwrite { vfd; buf; len } ->
       let fs = find_file link vfd in
-      link.max_dispatch_len <- max link.max_dispatch_len len;
+      link.max_dispatch_len <- Int.max link.max_dispatch_len len;
       wrap (fun () ->
           Kernel.charge_syscall kernel;
           fs.file.Defs.dev.Defs.ops.Defs.fop_write worker fs.file ~buf ~len)
@@ -386,31 +386,11 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
       Proto.Rok 0
   | Proto.Rpoll { vfd; want_in; want_out; timeout_us } ->
       let fs = find_file link vfd in
-      (* the Vfs.poll loop, against the stored file *)
       (try
          Kernel.charge_syscall kernel;
-         let deadline_left = ref timeout_us in
-         let rec loop () =
-           let r =
-             fs.file.Defs.dev.Defs.ops.Defs.fop_poll worker fs.file ~want_in
-               ~want_out
-           in
-           let ready = (want_in && r.Defs.pollin) || (want_out && r.Defs.pollout) in
-           if ready || !deadline_left <= 0. then r
-           else
-             match r.Defs.poll_wq with
-             | None -> r
-             | Some wq ->
-                 let before = Sim.Engine.now (Kernel.engine kernel) in
-                 let woken = Wait_queue.sleep_timeout wq ~timeout:!deadline_left in
-                 let elapsed = Sim.Engine.now (Kernel.engine kernel) -. before in
-                 deadline_left := !deadline_left -. elapsed;
-                 if woken then loop ()
-                 else
-                   fs.file.Defs.dev.Defs.ops.Defs.fop_poll worker fs.file
-                     ~want_in ~want_out
+         let r =
+           Vfs.poll_file kernel worker fs.file ~want_in ~want_out ~timeout:timeout_us
          in
-         let r = loop () in
          Proto.Rpoll_reply { pollin = r.Defs.pollin; pollout = r.Defs.pollout }
        with Errno.Unix_error (e, _) -> Proto.Rerr (Errno.to_code e))
   | Proto.Rfasync { vfd; on } ->

@@ -278,14 +278,15 @@ let declare t ops =
       Errno.fail Errno.ENOMEM "grant quota exhausted"
   in
   if not t.config.Config.validate_grants then 0
-  else if ops = [] then
-    (* groups cannot be empty; declare a harmless zero-length entry *)
-    declare_checked [ Hypervisor.Grant_table.Copy_from_user { addr = 0; len = 0 } ]
-  else begin
-    Kernel.charge t.kernel
-      (float_of_int (List.length ops) *. t.config.Config.grant_declare_us);
-    declare_checked ops
-  end
+  else
+    match ops with
+    | [] ->
+        (* groups cannot be empty; declare a harmless zero-length entry *)
+        declare_checked [ Hypervisor.Grant_table.Copy_from_user { addr = 0; len = 0 } ]
+    | _ :: _ ->
+        Kernel.charge t.kernel
+          (float_of_int (List.length ops) *. t.config.Config.grant_declare_us);
+        declare_checked ops
 
 let release t grant_ref =
   if t.config.Config.validate_grants then

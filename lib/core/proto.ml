@@ -94,48 +94,46 @@ let vfd_ok =
   W.Vrange { field = "vfd"; min = 0; max = W.Max_vfd; detail = "out of range" }
 
 let open_spec : request W.spec =
-  {
-    W.op = 1;
-    name = "open";
-    takes_vfd = false;
-    batchable = false;
-    fields =
+  W.spec
+    ~op:1
+    ~name:"open"
+    ~takes_vfd:false
+    ~batchable:false
+    ~fields:
       [
         {
           W.fname = "path";
           off = 16;
           kind = W.Str { len_off = 12; max = 256; reject = "path length" };
         };
-      ];
-    vchecks =
+      ]
+    ~vchecks:
       [
         W.Vpath { field = "path"; detail = "not a devfs path (or NUL / dot-dot)" };
-      ];
-    build =
-      (fun ~vfd:_ -> function [ W.S path ] -> Ropen { path } | _ -> assert false);
-    parts = (function Ropen { path } -> (0, [ W.S path ]) | _ -> assert false);
-  }
+      ]
+    ~build:
+      (fun ~vfd:_ -> function [ W.S path ] -> Ropen { path } | _ -> assert false)
+    ~parts:(function Ropen { path } -> (0, [ W.S path ]) | _ -> assert false)
 
 let release_spec : request W.spec =
-  {
-    W.op = 2;
-    name = "release";
-    takes_vfd = true;
-    batchable = true;
-    fields = [];
-    vchecks = [ vfd_ok ];
-    build = (fun ~vfd _ -> Rrelease { vfd });
-    parts = (function Rrelease { vfd } -> (vfd, []) | _ -> assert false);
-  }
+  W.spec
+    ~op:2
+    ~name:"release"
+    ~takes_vfd:true
+    ~batchable:true
+    ~fields:[]
+    ~vchecks:[ vfd_ok ]
+    ~build:(fun ~vfd _ -> Rrelease { vfd })
+    ~parts:(function Rrelease { vfd } -> (vfd, []) | _ -> assert false)
 
 let transfer_spec op name make split : request W.spec =
-  {
-    W.op;
-    name;
-    takes_vfd = true;
-    batchable = true;
-    fields = [ fu63 "buf" 16; fu63 "len" 24 ];
-    vchecks =
+  W.spec
+    ~op
+    ~name
+    ~takes_vfd:true
+    ~batchable:true
+    ~fields:[ fu63 "buf" 16; fu63 "len" 24 ]
+    ~vchecks:
       [
         vfd_ok;
         W.Vrange
@@ -147,13 +145,12 @@ let transfer_spec op name make split : request W.spec =
           };
         W.Vrange
           { field = "buf"; min = 0; max = W.No_bound; detail = "negative user address" };
-      ];
-    build =
+      ]
+    ~build:
       (fun ~vfd -> function
         | [ W.I buf; W.I len ] -> make ~vfd ~buf ~len
-        | _ -> assert false);
-    parts = split;
-  }
+        | _ -> assert false)
+    ~parts:split
 
 let read_spec =
   transfer_spec 3 "read"
@@ -167,13 +164,13 @@ let write_spec =
       | Rwrite { vfd; buf; len } -> (vfd, [ W.I buf; W.I len ]) | _ -> assert false)
 
 let ioctl_spec : request W.spec =
-  {
-    W.op = 5;
-    name = "ioctl";
-    takes_vfd = true;
-    batchable = true;
-    fields = [ fu63 "cmd" 16; { W.fname = "arg"; off = 24; kind = W.Raw64 } ];
-    vchecks =
+  W.spec
+    ~op:5
+    ~name:"ioctl"
+    ~takes_vfd:true
+    ~batchable:true
+    ~fields:[ fu63 "cmd" 16; { W.fname = "arg"; off = 24; kind = W.Raw64 } ]
+    ~vchecks:
       [
         vfd_ok;
         W.Vrange
@@ -183,124 +180,117 @@ let ioctl_spec : request W.spec =
             max = W.Lit 0xffff_ffff;
             detail = "not a u32 ioctl number";
           };
-      ];
-    build =
+      ]
+    ~build:
       (fun ~vfd -> function
-        | [ W.I cmd; W.I64 arg ] -> Rioctl { vfd; cmd; arg } | _ -> assert false);
-    parts =
+        | [ W.I cmd; W.I64 arg ] -> Rioctl { vfd; cmd; arg } | _ -> assert false)
+    ~parts:
       (function
-      | Rioctl { vfd; cmd; arg } -> (vfd, [ W.I cmd; W.I64 arg ]) | _ -> assert false);
-  }
+      | Rioctl { vfd; cmd; arg } -> (vfd, [ W.I cmd; W.I64 arg ]) | _ -> assert false)
 
 let mmap_spec : request W.spec =
-  {
-    W.op = 6;
-    name = "mmap";
-    takes_vfd = true;
-    batchable = false;
-    fields = [ fu63 "gva" 16; fu63 "len" 24; fu63 "pgoff" 32 ];
-    vchecks =
+  W.spec
+    ~op:6
+    ~name:"mmap"
+    ~takes_vfd:true
+    ~batchable:false
+    ~fields:[ fu63 "gva" 16; fu63 "len" 24; fu63 "pgoff" 32 ]
+    ~vchecks:
       [
         vfd_ok;
         W.Vrange
           { field = "len"; min = 1; max = W.Max_mmap; detail = "mmap length out of range" };
         W.Vwrap { base = "gva"; len = "len"; detail = "range wraps" };
         W.Vrange { field = "pgoff"; min = 0; max = W.No_bound; detail = "negative" };
-      ];
-    build =
+      ]
+    ~build:
       (fun ~vfd -> function
         | [ W.I gva; W.I len; W.I pgoff ] -> Rmmap { vfd; gva; len; pgoff }
-        | _ -> assert false);
-    parts =
+        | _ -> assert false)
+    ~parts:
       (function
       | Rmmap { vfd; gva; len; pgoff } -> (vfd, [ W.I gva; W.I len; W.I pgoff ])
-      | _ -> assert false);
-  }
+      | _ -> assert false)
 
 let fault_spec : request W.spec =
-  {
-    W.op = 7;
-    name = "fault";
-    takes_vfd = true;
-    batchable = false;
-    fields = [ fu63 "gva" 16 ];
-    vchecks =
-      [ vfd_ok; W.Vrange { field = "gva"; min = 0; max = W.No_bound; detail = "negative" } ];
-    build =
-      (fun ~vfd -> function [ W.I gva ] -> Rfault { vfd; gva } | _ -> assert false);
-    parts = (function Rfault { vfd; gva } -> (vfd, [ W.I gva ]) | _ -> assert false);
-  }
+  W.spec
+    ~op:7
+    ~name:"fault"
+    ~takes_vfd:true
+    ~batchable:false
+    ~fields:[ fu63 "gva" 16 ]
+    ~vchecks:
+      [ vfd_ok; W.Vrange { field = "gva"; min = 0; max = W.No_bound; detail = "negative" } ]
+    ~build:
+      (fun ~vfd -> function [ W.I gva ] -> Rfault { vfd; gva } | _ -> assert false)
+    ~parts:(function Rfault { vfd; gva } -> (vfd, [ W.I gva ]) | _ -> assert false)
 
 let munmap_spec : request W.spec =
-  {
-    W.op = 8;
-    name = "munmap";
-    takes_vfd = true;
-    batchable = false;
-    fields = [ fu63 "gva" 16; fu63 "len" 24 ];
-    vchecks =
+  W.spec
+    ~op:8
+    ~name:"munmap"
+    ~takes_vfd:true
+    ~batchable:false
+    ~fields:[ fu63 "gva" 16; fu63 "len" 24 ]
+    ~vchecks:
       [
         vfd_ok;
         W.Vrange
           { field = "len"; min = 1; max = W.Max_mmap; detail = "munmap length out of range" };
         W.Vwrap { base = "gva"; len = "len"; detail = "range wraps" };
-      ];
-    build =
+      ]
+    ~build:
       (fun ~vfd -> function
-        | [ W.I gva; W.I len ] -> Rmunmap { vfd; gva; len } | _ -> assert false);
-    parts =
+        | [ W.I gva; W.I len ] -> Rmunmap { vfd; gva; len } | _ -> assert false)
+    ~parts:
       (function
-      | Rmunmap { vfd; gva; len } -> (vfd, [ W.I gva; W.I len ]) | _ -> assert false);
-  }
+      | Rmunmap { vfd; gva; len } -> (vfd, [ W.I gva; W.I len ]) | _ -> assert false)
 
 let poll_spec : request W.spec =
-  {
-    W.op = 9;
-    name = "poll";
-    takes_vfd = true;
-    batchable = true;
-    fields =
+  W.spec
+    ~op:9
+    ~name:"poll"
+    ~takes_vfd:true
+    ~batchable:true
+    ~fields:
       [
         fflag "want_in" 16;
         fflag "want_out" 20;
         { W.fname = "timeout"; off = 24; kind = W.Timeout { reject = "poll timeout" } };
-      ];
-    vchecks = [ vfd_ok; W.Vtimeout { field = "timeout"; detail = "non-finite" } ];
-    build =
+      ]
+    ~vchecks:[ vfd_ok; W.Vtimeout { field = "timeout"; detail = "non-finite" } ]
+    ~build:
       (fun ~vfd -> function
         | [ W.B want_in; W.B want_out; W.F timeout_us ] ->
             Rpoll { vfd; want_in; want_out; timeout_us }
-        | _ -> assert false);
-    parts =
+        | _ -> assert false)
+    ~parts:
       (function
       | Rpoll { vfd; want_in; want_out; timeout_us } ->
           (vfd, [ W.B want_in; W.B want_out; W.F timeout_us ])
-      | _ -> assert false);
-  }
+      | _ -> assert false)
 
 let fasync_spec : request W.spec =
-  {
-    W.op = 10;
-    name = "fasync";
-    takes_vfd = true;
-    batchable = true;
-    fields = [ fflag "on" 16 ];
-    vchecks = [ vfd_ok ];
-    build = (fun ~vfd -> function [ W.B on ] -> Rfasync { vfd; on } | _ -> assert false);
-    parts = (function Rfasync { vfd; on } -> (vfd, [ W.B on ]) | _ -> assert false);
-  }
+  W.spec
+    ~op:10
+    ~name:"fasync"
+    ~takes_vfd:true
+    ~batchable:true
+    ~fields:[ fflag "on" 16 ]
+    ~vchecks:[ vfd_ok ]
+    ~build:(fun ~vfd -> function [ W.B on ] -> Rfasync { vfd; on } | _ -> assert false)
+    ~parts:(function Rfasync { vfd; on } -> (vfd, [ W.B on ]) | _ -> assert false)
 
 let noop_spec : request W.spec =
-  {
-    W.op = 11;
-    name = "noop";
-    takes_vfd = false;
-    batchable = true;
-    fields = [];
-    vchecks = [];
-    build = (fun ~vfd:_ _ -> Rnoop);
-    parts = (function Rnoop -> (0, []) | _ -> assert false);
-  }
+  W.spec
+    ~op:11
+    ~name:"noop"
+    ~takes_vfd:false
+    ~batchable:true
+    ~fields:[]
+    ~vchecks:[]
+    ~build:(fun ~vfd:_ _ -> Rnoop)
+    ~parts:(function Rnoop -> (0, []) | _ -> assert false)
 
 let req_specs =
   [
@@ -389,7 +379,7 @@ let encode_request ~grant_ref ~pid req =
 
 let encoded wire b =
   clear_slot "Proto.encoded" b;
-  Bytes.blit wire 0 b 0 (min (Bytes.length wire) slot_size)
+  Bytes.blit wire 0 b 0 (Int.min (Bytes.length wire) slot_size)
 
 let scratch_key = Domain.DLS.new_key (fun () -> Bytes.create slot_size)
 let scratch () = Domain.DLS.get scratch_key
@@ -517,46 +507,43 @@ let validate ~max_transfer_bytes ~poll_timeout_cap_us ~grant_capacity decoded =
 (* ---- responses ---- *)
 
 let ok_spec : response W.spec =
-  {
-    W.op = 1;
-    name = "ok";
-    takes_vfd = false;
-    batchable = true;
-    fields = [ fu63 "value" 8 ];
-    vchecks = [];
-    build = (fun ~vfd:_ -> function [ W.I v ] -> Rok v | _ -> assert false);
-    parts = (function Rok v -> (0, [ W.I v ]) | _ -> assert false);
-  }
+  W.spec
+    ~op:1
+    ~name:"ok"
+    ~takes_vfd:false
+    ~batchable:true
+    ~fields:[ fu63 "value" 8 ]
+    ~vchecks:[]
+    ~build:(fun ~vfd:_ -> function [ W.I v ] -> Rok v | _ -> assert false)
+    ~parts:(function Rok v -> (0, [ W.I v ]) | _ -> assert false)
 
 let err_spec : response W.spec =
-  {
-    W.op = 2;
-    name = "err";
-    takes_vfd = false;
-    batchable = true;
-    fields = [ { W.fname = "code"; off = 8; kind = W.Int W.U32 } ];
-    vchecks = [];
-    build = (fun ~vfd:_ -> function [ W.I code ] -> Rerr code | _ -> assert false);
-    parts = (function Rerr code -> (0, [ W.I code ]) | _ -> assert false);
-  }
+  W.spec
+    ~op:2
+    ~name:"err"
+    ~takes_vfd:false
+    ~batchable:true
+    ~fields:[ { W.fname = "code"; off = 8; kind = W.Int W.U32 } ]
+    ~vchecks:[]
+    ~build:(fun ~vfd:_ -> function [ W.I code ] -> Rerr code | _ -> assert false)
+    ~parts:(function Rerr code -> (0, [ W.I code ]) | _ -> assert false)
 
 let poll_reply_spec : response W.spec =
-  {
-    W.op = 3;
-    name = "poll_reply";
-    takes_vfd = false;
-    batchable = true;
-    fields = [ fflag "pollin" 8; fflag "pollout" 12 ];
-    vchecks = [];
-    build =
+  W.spec
+    ~op:3
+    ~name:"poll_reply"
+    ~takes_vfd:false
+    ~batchable:true
+    ~fields:[ fflag "pollin" 8; fflag "pollout" 12 ]
+    ~vchecks:[]
+    ~build:
       (fun ~vfd:_ -> function
         | [ W.B pollin; W.B pollout ] -> Rpoll_reply { pollin; pollout }
-        | _ -> assert false);
-    parts =
+        | _ -> assert false)
+    ~parts:
       (function
       | Rpoll_reply { pollin; pollout } -> (0, [ W.B pollin; W.B pollout ])
-      | _ -> assert false);
-  }
+      | _ -> assert false)
 
 let resp_specs = [ ok_spec; err_spec; poll_reply_spec ]
 let batch_reply_op = 4
@@ -672,7 +659,7 @@ module Fuzz = struct
   (* Walk a batch descriptor's record table, as far as it stays
      well-formed, so mutations can target interior records. *)
   let batch_records b =
-    let count = min (r32 b 12) max_batch_ops in
+    let count = Int.min (r32 b 12) max_batch_ops in
     let rec go off i acc =
       if i >= count || off + 12 > trace_off then List.rev acc
       else

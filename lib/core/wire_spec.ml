@@ -32,6 +32,10 @@ type vcheck =
 
 type violation = { field : string; detail : string }
 
+(* A rule with its fields resolved to positions in [fields] ([-1]:
+   the header vfd); [at2] is a [Vwrap]'s length field. *)
+type rule = { check : vcheck; at : int; at2 : int }
+
 type 'm spec = {
   op : int;
   name : string;
@@ -39,9 +43,36 @@ type 'm spec = {
   batchable : bool;
   fields : field list;
   vchecks : vcheck list;
+  rules : rule list;
   build : vfd:int -> fval list -> 'm;
   parts : 'm -> int * fval list;
 }
+
+let spec ~op ~name ~takes_vfd ~batchable ~fields ~vchecks ~build ~parts =
+  let position field =
+    let rec find i = function
+      | [] -> invalid_arg (Printf.sprintf "Wire_spec.spec: %s has no field %s" name field)
+      | f :: rest -> if String.equal f.fname field then i else find (i + 1) rest
+    in
+    if String.equal field "vfd" then -1 else find 0 fields
+  in
+  let rule check =
+    match check with
+    | Vrange { field; _ } | Vtimeout { field; _ } | Vpath { field; _ } ->
+        { check; at = position field; at2 = -1 }
+    | Vwrap { base; len; _ } -> { check; at = position base; at2 = position len }
+  in
+  {
+    op;
+    name;
+    takes_vfd;
+    batchable;
+    fields;
+    vchecks;
+    rules = List.map rule vchecks;
+    build;
+    parts;
+  }
 
 (* Device mmaps legitimately exceed the copy-transfer cap (a GPU BO or
    a netmap ring can be tens of MiB), but must still be bounded. *)
@@ -168,57 +199,49 @@ let int_of_fval name = function
   | I v -> v
   | _ -> invalid_arg ("Wire_spec.validate: non-integer field " ^ name)
 
+(* The value clamped at position [i], if any. *)
+let rec clamped_at i = function
+  | [] -> None
+  | (j, v) :: rest -> if j = i then Some v else clamped_at i rest
+
 let validate spec limits ~prefix m =
   let vfd, vals = spec.parts m in
-  let names = List.map (fun f -> f.fname) spec.fields in
-  let get field =
-    if field = "vfd" then I vfd
-    else
-      match List.assoc_opt field (List.combine names vals) with
-      | Some v -> v
-      | None -> invalid_arg ("Wire_spec.validate: unknown field " ^ field)
-  in
-  let clamped = ref [] in
+  let get at = if at < 0 then I vfd else List.nth vals at in
   let fail field detail =
     Coverage.hit (Printf.sprintf "sanitize.%s.%s" spec.name field);
     Error { field = prefix ^ field; detail }
   in
-  let rec run = function
-    | [] ->
-        if !clamped = [] then Ok m
-        else
-          let vals' =
-            List.map2
-              (fun name v ->
-                match List.assoc_opt name !clamped with
-                | Some v' -> v'
-                | None -> v)
-              names vals
-          in
-          Ok (spec.build ~vfd vals')
-    | Vrange { field; min; max; detail } :: rest ->
-        let v = int_of_fval field (get field) in
-        if v < min || v > eval_bound limits max then fail field detail
-        else run rest
-    | Vwrap { base; len; detail } :: rest ->
-        let bv = int_of_fval base (get base) in
-        let lv = int_of_fval len (get len) in
-        if bv < 0 || bv > max_int - lv then fail base detail else run rest
-    | Vtimeout { field; detail } :: rest ->
-        let v = match get field with F v -> v | _ -> nan in
+  let rec run clamped = function
+    | [] -> (
+        match clamped with
+        | [] -> Ok m
+        | _ :: _ ->
+            let vals' =
+              List.mapi
+                (fun i v -> match clamped_at i clamped with Some v' -> v' | None -> v)
+                vals
+            in
+            Ok (spec.build ~vfd vals'))
+    | { check = Vrange { field; min; max; detail }; at; _ } :: rest ->
+        let v = int_of_fval field (get at) in
+        if v < min || v > eval_bound limits max then fail field detail else run clamped rest
+    | { check = Vwrap { base; len; detail }; at; at2 } :: rest ->
+        let bv = int_of_fval base (get at) in
+        let lv = int_of_fval len (get at2) in
+        if bv < 0 || bv > max_int - lv then fail base detail else run clamped rest
+    | { check = Vtimeout { field; detail }; at; _ } :: rest ->
+        let v = match get at with F v -> v | _ -> nan in
         if Float.is_nan v || v < 0. then fail field detail
-        else begin
-          if v > limits.poll_timeout_cap_us then begin
-            Coverage.hit (Printf.sprintf "sanitize.clamp.%s.%s" spec.name field);
-            clamped := (field, F limits.poll_timeout_cap_us) :: !clamped
-          end;
-          run rest
+        else if v > limits.poll_timeout_cap_us then begin
+          Coverage.hit (Printf.sprintf "sanitize.clamp.%s.%s" spec.name field);
+          run ((at, F limits.poll_timeout_cap_us) :: clamped) rest
         end
-    | Vpath { field; detail } :: rest ->
-        let p = match get field with S p -> p | _ -> "" in
-        if valid_path p then run rest else fail field detail
+        else run clamped rest
+    | { check = Vpath { field; detail }; at; _ } :: rest ->
+        let p = match get at with S p -> p | _ -> "" in
+        if valid_path p then run clamped rest else fail field detail
   in
-  run spec.vchecks
+  run [] spec.rules
 
 (* ---- derived generator: valid skeletons ---- *)
 

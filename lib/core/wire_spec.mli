@@ -90,17 +90,36 @@ type vcheck =
 
 type violation = { field : string; detail : string }
 
-(** The complete declaration of one message form. *)
-type 'm spec = {
+(** A sanitizer rule with its fields resolved to positions. *)
+type rule
+
+(** The complete declaration of one message form, built by {!spec}. *)
+type 'm spec = private {
   op : int;  (** wire opcode / tag *)
   name : string;
   takes_vfd : bool;  (** header vfd word is meaningful *)
   batchable : bool;  (** may ride in a multi-op descriptor *)
   fields : field list;  (** payload, in wire order, singleton offsets *)
   vchecks : vcheck list;  (** sanitizer rules, in evaluation order *)
+  rules : rule list;  (** [vchecks], each field named resolved once *)
   build : vfd:int -> fval list -> 'm;
   parts : 'm -> int * fval list;  (** inverse of [build] *)
 }
+
+(** Declares a message form, resolving every field a rule names
+    (["vfd"] is the header word) to its position in [fields] once, so
+    {!validate} looks fields up by position.  [Invalid_argument] when
+    a rule names a field [fields] does not declare. *)
+val spec :
+  op:int ->
+  name:string ->
+  takes_vfd:bool ->
+  batchable:bool ->
+  fields:field list ->
+  vchecks:vcheck list ->
+  build:(vfd:int -> fval list -> 'm) ->
+  parts:('m -> int * fval list) ->
+  'm spec
 
 val max_mmap_bytes : int
 val max_vfd : int

@@ -129,7 +129,7 @@ let start t =
             (* DMA the frame header: permissions checked by the IOMMU *)
             (try
                Hypervisor.Shared_page.read_into t.nic ~offset:(buf_offset t slot)
-                 ~len:(min len 16) ~dst:t.dma_scratch ~dst_off:0
+                 ~len:(Int.min len 16) ~dst:t.dma_scratch ~dst_off:0
              with Memory.Fault.Iommu_fault _ -> ());
             Sim.Engine.wait (wire_time_us t ~len);
             t.tx_packets <- t.tx_packets + 1;

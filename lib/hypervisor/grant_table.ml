@@ -114,7 +114,7 @@ let slot_free (view : Shared_page.view) slot =
 
 (** Declare a group of operations; returns the grant reference. *)
 let declare t ops =
-  if ops = [] then invalid_arg "Grant_table.declare: empty group";
+  (match ops with [] -> invalid_arg "Grant_table.declare: empty group" | _ :: _ -> ());
   let n = List.length ops in
   (* Quota check only when the guest is capped below the physical
      table: at full quota an overflowing declare is simply Table_full,
@@ -146,7 +146,7 @@ let release t grant_ref =
     if slot >= capacity then ()
     else begin
       let op, last = read_entry t.guest ~slot in
-      if op <> None then t.active <- max 0 (t.active - 1);
+      (match op with Some _ -> t.active <- Int.max 0 (t.active - 1) | None -> ());
       Shared_page.write_u32 t.guest ~offset:(slot * entry_size) 0;
       if not last then go (slot + 1)
     end

@@ -25,17 +25,19 @@ type t = {
    The ring transport touches the same few words of the same pages on
    every operation, so a view resolves each page to its backing frame
    once per mapping change instead of once per word.  Slot
-   [2 * page + kind] (kind 0 = read, 1 = write) holds the page's frame
-   and the stamp it was resolved under.
+   [2 * page + kind] (kind 0 = read, 1 = write) holds the page's frame.
+   One stamp covers every slot: the frames were all resolved under it,
+   and when it goes stale the next resolution empties them all.
 
    - A VM's stamp is its {!Memory.Ept.generation} and
-     {!Memory.Tlb.epoch}.  A resolution goes through
-     {!Vm.translate_gpa}, which leaves a current TLB entry behind;
-     while the stamp still matches, that entry is still present and
-     current, so the TLB would hit — and a cache hit is counted as
-     exactly that.  Any EPT mutation (unmap, remap, permission
-     stripping) or TLB flush changes the stamp, and the next access
-     walks again, faulting as an uncached access would.
+     {!Memory.Tlb.epoch}.  A resolution goes through the VM's TLB,
+     which leaves a current entry behind; while the stamp still
+     matches, that entry is still present and current, so the TLB
+     would hit — and a cache hit is counted as exactly that.  Any EPT
+     mutation (unmap, remap, permission stripping) or TLB flush changes
+     the stamp, and the next access walks again, faulting as an
+     uncached access would.  Both counters only grow, so a stamp never
+     matches again once stale.
    - A device's stamp is its IOMMU domain's {!Memory.Iommu.generation}.
      A resolution goes through the permission-checked
      {!Memory.Iommu.translate}; any map, unmap or region switch in the
@@ -47,9 +49,9 @@ type t = {
 type view = {
   region : t;
   owner : owner;
-  frames : Bytes.t array; (* [no_frame] until resolved *)
-  gens : int array; (* EPT or IOMMU generation; -1: never resolved *)
-  epochs : int array; (* TLB epoch (VM views only) *)
+  frames : Bytes.t array; (* [no_frame] until resolved under the stamp *)
+  mutable gen : int; (* EPT or IOMMU generation; -1: nothing resolved *)
+  mutable epoch : int; (* TLB epoch (VM views only) *)
 }
 
 and owner =
@@ -57,7 +59,7 @@ and owner =
   | Device of { iommu : Memory.Iommu.t; dma : int (* region base in [iommu] *) }
   | Hypervisor
 
-let no_frame = Bytes.empty
+let no_frame = Memory.Phys_mem.no_frame
 
 let allocate ?(pages = 1) phys =
   if pages < 1 then invalid_arg "Shared_page.allocate: pages < 1";
@@ -91,15 +93,7 @@ let check_bounds t ~offset ~len =
     invalid_arg "Shared_page: access outside region"
 
 let make_view region owner =
-  let slots = 2 * region.pages in
-  let stamps used = if used then Array.make slots (-1) else [||] in
-  {
-    region;
-    owner;
-    frames = Array.make slots no_frame;
-    gens = stamps (match owner with Guest _ | Device _ -> true | Hypervisor -> false);
-    epochs = stamps (match owner with Guest _ -> true | Device _ | Hypervisor -> false);
-  }
+  { region; owner; frames = Array.make (2 * region.pages) no_frame; gen = -1; epoch = -1 }
 
 (** A view for a VM that has the region mapped: every access performs
     the EPT-checked CPU access of that VM (crossing page boundaries
@@ -124,6 +118,18 @@ let page_of offset = offset lsr Memory.Addr.page_shift
 let in_page offset = offset land (Memory.Addr.page_size - 1)
 let spa_of v offset = Memory.Addr.of_pfn v.region.base_spn + offset
 
+(* Keeps [frame] in [slot] under the stamp [gen], [epoch]: a stamp
+   that moved since the last resolution empties every other slot
+   first. *)
+let store v ~slot ~gen ~epoch frame =
+  if gen <> v.gen || epoch <> v.epoch then begin
+    Array.fill v.frames 0 (Array.length v.frames) no_frame;
+    v.gen <- gen;
+    v.epoch <- epoch
+  end;
+  v.frames.(slot) <- frame;
+  frame
+
 let resolve_guest v vm ~gpa ~slot ~access offset =
   match Memory.Ept.lookup vm.Vm.ept ~gpa:(gpa + offset) with
   | Some (spa, _) when Memory.Phys_mem.is_mmio v.region.phys (Memory.Addr.pfn spa) ->
@@ -135,10 +141,10 @@ let resolve_guest v vm ~gpa ~slot ~access offset =
       match Memory.Phys_mem.ram_frame v.region.phys ~spn:(Memory.Addr.pfn spa) ~access with
       | None -> no_frame
       | Some frame ->
-          v.frames.(slot) <- frame;
-          v.gens.(slot) <- Memory.Ept.generation vm.Vm.ept;
-          v.epochs.(slot) <- Memory.Tlb.epoch vm.Vm.tlb;
-          frame)
+          (* stamped after the translation, which may have flushed the
+             TLB *)
+          store v ~slot ~gen:(Memory.Ept.generation vm.Vm.ept)
+            ~epoch:(Memory.Tlb.epoch vm.Vm.tlb) frame)
 
 let resolve_device v iommu ~dma ~slot ~access offset =
   (* faults exactly as an uncached DMA to an unmapped or
@@ -146,19 +152,16 @@ let resolve_device v iommu ~dma ~slot ~access offset =
   let spa = Memory.Iommu.translate iommu ~dma:(dma + offset) ~access in
   match Memory.Phys_mem.ram_frame v.region.phys ~spn:(Memory.Addr.pfn spa) ~access with
   | None -> no_frame (* MMIO: never cached *)
-  | Some frame ->
-      v.frames.(slot) <- frame;
-      v.gens.(slot) <- Memory.Iommu.generation iommu;
-      frame
+  | Some frame -> store v ~slot ~gen:(Memory.Iommu.generation iommu) ~epoch:0 frame
 
 (* The frame of the page holding [offset] for [access], or [no_frame]
    when the caller must take the uncached path (a VM's TLB disabled,
    or an MMIO page). *)
 let frame v ~access offset =
   let slot = (2 * page_of offset) + match access with Memory.Perm.Read -> 0 | _ -> 1 in
+  let f = v.frames.(slot) in
   match v.owner with
   | Hypervisor ->
-      let f = v.frames.(slot) in
       if f != no_frame then f
       else (
         match
@@ -174,16 +177,15 @@ let frame v ~access offset =
       let tlb = vm.Vm.tlb in
       if not (Memory.Tlb.enabled tlb) then no_frame
       else if
-        v.gens.(slot) = Memory.Ept.generation vm.Vm.ept
-        && v.epochs.(slot) = Memory.Tlb.epoch tlb
+        f != no_frame && v.gen = Memory.Ept.generation vm.Vm.ept && v.epoch = Memory.Tlb.epoch tlb
       then begin
         let stats = Memory.Tlb.stats tlb in
         stats.Memory.Tlb.hits <- stats.Memory.Tlb.hits + 1;
-        v.frames.(slot)
+        f
       end
       else resolve_guest v vm ~gpa ~slot ~access offset
   | Device { iommu; dma } ->
-      if v.gens.(slot) = Memory.Iommu.generation iommu then v.frames.(slot)
+      if f != no_frame && v.gen = Memory.Iommu.generation iommu then f
       else resolve_device v iommu ~dma ~slot ~access offset
 
 (* Frame for a scalar of [width] bytes at [offset]; a page-straddling
@@ -231,7 +233,7 @@ let write_chunk v buf ~pos off chunk =
    chunk, and no per-call closure is allocated. *)
 let rec page_chunks chunk v buf ~pos off len =
   if len > 0 then begin
-    let n = min len (Memory.Addr.page_size - in_page off) in
+    let n = Int.min len (Memory.Addr.page_size - in_page off) in
     chunk v buf ~pos off n;
     page_chunks chunk v buf ~pos:(pos + n) (off + n) (len - n)
   end

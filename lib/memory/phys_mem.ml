@@ -62,6 +62,18 @@ let backing t ~spn ~access =
   end
   else Fault.bus_error ~addr:(Addr.of_pfn spn) ~access "unpopulated frame"
 
+let no_frame = Bytes.empty
+
+(** The backing bytes of RAM frame [spn], materialised if untouched,
+    for a cache to keep; [no_frame] for an MMIO page or one never
+    allocated, whose accesses must keep going through this module
+    (routed to the device, or raising {!Fault.Bus_error}). *)
+let cached_frame t spn =
+  if spn >= 1 && spn < t.next_spn then
+    (* allocated, so [backing] cannot raise *)
+    match backing t ~spn ~access:Perm.Read with Ram frame -> frame | Mmio _ -> no_frame
+  else no_frame
+
 (** The backing bytes of RAM frame [spn], materialised if untouched;
     [None] for an MMIO page.  A frame never moves once materialised,
     so callers may keep it. *)
@@ -84,7 +96,7 @@ let write_chunk t ~spa src ~pos ~len =
    a top-level function, so a copy allocates no closure. *)
 let rec frame_chunks chunk t ~spa buf ~pos ~len =
   if len > 0 then begin
-    let n = min len (Addr.page_size - Addr.offset spa) in
+    let n = Int.min len (Addr.page_size - Addr.offset spa) in
     chunk t ~spa buf ~pos ~len:n;
     frame_chunks chunk t ~spa:(spa + n) buf ~pos:(pos + n) ~len:(len - n)
   end

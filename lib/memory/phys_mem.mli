@@ -28,6 +28,15 @@ val is_mmio : t -> int -> bool
     [access]) on frames never allocated. *)
 val ram_frame : t -> spn:int -> access:Perm.access -> Bytes.t option
 
+(** Stands for "no frame to cache": never a frame's bytes. *)
+val no_frame : Bytes.t
+
+(** [cached_frame t spn] is RAM frame [spn]'s backing bytes
+    (materialised if untouched, as any access would), or {!no_frame}
+    for an MMIO page or a frame never allocated.  It never raises: the
+    accessors below fault on such a frame where they always did. *)
+val cached_frame : t -> int -> Bytes.t
+
 (** Byte access at system physical addresses; may cross frames.
     Raises {!Fault.Bus_error} on frames never allocated. *)
 val read : t -> spa:int -> len:int -> bytes

@@ -3,7 +3,9 @@
     staleness argument).  Caches gva→spa for the combined
     guest-PT+EPT walk and gpa→spa for EPT-only walks; a hit re-checks
     the cached leaf permissions, so validation stays on — only the
-    walk cost is removed. *)
+    walk cost is removed.  An entry carries its backing frame, and a
+    small direct-mapped front array answers repeat probes before the
+    hash table. *)
 
 type stats = {
   mutable hits : int;
@@ -14,7 +16,11 @@ type stats = {
 val create_stats : unit -> stats
 
 type entry = {
+  key : int;  (** {!key} of the translated page *)
   spn : int;
+  frame : Bytes.t;
+      (** the page's backing bytes ({!Phys_mem.cached_frame}), or
+          {!Phys_mem.no_frame} for an MMIO or unbacked page *)
   pt_perms : Perm.t;  (** guest-PT leaf perms; [Perm.rwx] for gpa entries *)
   ept_perms : Perm.t;
   pt_gen : int;  (** guest-PT generation at fill; 0 for gpa entries *)
@@ -49,6 +55,7 @@ val enabled : t -> bool
     cache neither hits nor installs, and counts nothing. *)
 val set_enabled : t -> bool -> unit
 
+(** Drops every entry, from the table and the front array alike. *)
 val flush : t -> unit
 
 (** Bumped by {!flush} and by the wholesale reset at [max_entries]:
@@ -57,10 +64,17 @@ val flush : t -> unit
     top of the TLB (the shared-page views) stamp with it. *)
 val epoch : t -> int
 
-(** Returns the backing frame iff the entry under [key] is
-    generation-current and its cached permissions allow [access], and
-    [-1] otherwise; counts a hit or miss. *)
-val lookup : t -> key:int -> access:Perm.access -> pt_gen:int -> ept_gen:int -> int
+(** What {!lookup} returns on a miss; compare with [==]. *)
+val absent : entry
 
-val install : t -> key:int -> entry -> unit
+(** Returns the entry under [key] iff it is generation-current and its
+    cached permissions allow [access], and {!absent} otherwise; counts
+    a hit or miss.  A probe answered by the front array counts exactly
+    as one answered by the table. *)
+val lookup : t -> key:int -> access:Perm.access -> pt_gen:int -> ept_gen:int -> entry
+
+(** Stores [e] under [e.key], replacing any entry with that key in the
+    table and whatever its front-array slot held; ignored when the
+    cache is disabled or the key is {!no_key}. *)
+val install : t -> entry -> unit
 val count_walks : t -> int -> unit

@@ -142,30 +142,32 @@ let rec user_write kernel task ~gva data =
     | Error e -> Errno.fail e "unresolvable fault");
     user_write kernel task ~gva data
 
-(** Poll: block until the file is readable/writable or [timeout]
-    expires.  Drivers return the current event mask plus the wait
-    queue to sleep on; the VFS loops, like the kernel's poll core. *)
+(** Poll an open file: block until it is readable/writable or
+    [timeout] expires.  Drivers return the current event mask plus the
+    wait queue to sleep on; the VFS loops, like the kernel's poll
+    core.  Driver errors propagate as {!Errno.Unix_error}. *)
+let poll_file kernel task file ~want_in ~want_out ~timeout =
+  let deadline_left = ref timeout in
+  let rec loop () =
+    let r = file.dev.ops.fop_poll task file ~want_in ~want_out in
+    let ready = (want_in && r.pollin) || (want_out && r.pollout) in
+    if ready || !deadline_left <= 0. then r
+    else
+      match r.poll_wq with
+      | None -> r
+      | Some wq ->
+          let before = Sim.Engine.now (Kernel.engine kernel) in
+          let woken = Wait_queue.sleep_timeout wq ~timeout:!deadline_left in
+          let elapsed = Sim.Engine.now (Kernel.engine kernel) -. before in
+          deadline_left := !deadline_left -. elapsed;
+          if woken then loop () else file.dev.ops.fop_poll task file ~want_in ~want_out
+  in
+  loop ()
+
+(** The poll system call: {!poll_file} on descriptor [fd]. *)
 let poll kernel task fd ~want_in ~want_out ~timeout : poll_result result =
   Kernel.charge_syscall kernel;
-  wrap (fun () ->
-      let file = lookup_fd task fd in
-      let deadline_left = ref timeout in
-      let rec loop () =
-        let r = file.dev.ops.fop_poll task file ~want_in ~want_out in
-        let ready = (want_in && r.pollin) || (want_out && r.pollout) in
-        if ready || !deadline_left <= 0. then r
-        else
-          match r.poll_wq with
-          | None -> r
-          | Some wq ->
-              let before = Sim.Engine.now (Kernel.engine kernel) in
-              let woken = Wait_queue.sleep_timeout wq ~timeout:!deadline_left in
-              let elapsed = Sim.Engine.now (Kernel.engine kernel) -. before in
-              deadline_left := !deadline_left -. elapsed;
-              if woken then loop ()
-              else file.dev.ops.fop_poll task file ~want_in ~want_out
-      in
-      loop ())
+  wrap (fun () -> poll_file kernel task (lookup_fd task fd) ~want_in ~want_out ~timeout)
 
 (** Register/unregister for asynchronous notification (fasync, §2.1);
     the driver delivers events via {!kill_fasync}. *)

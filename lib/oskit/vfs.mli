@@ -33,7 +33,15 @@ val user_read : Kernel.t -> task -> gva:int -> len:int -> bytes
 
 val user_write : Kernel.t -> task -> gva:int -> bytes -> unit
 
-(** Block until readable/writable or [timeout] (microseconds). *)
+(** [poll_file kernel task file ...] blocks until [file] is
+    readable/writable or [timeout] (microseconds) expires, sleeping on
+    the wait queue its driver returns, and returns the last event mask.
+    It charges no syscall; driver errors raise {!Errno.Unix_error}.  A
+    backend serving a forwarded poll calls it on the file it holds. *)
+val poll_file :
+  Kernel.t -> task -> file -> want_in:bool -> want_out:bool -> timeout:float -> poll_result
+
+(** The poll system call: {!poll_file} on descriptor [fd]. *)
 val poll :
   Kernel.t -> task -> int -> want_in:bool -> want_out:bool -> timeout:float ->
   poll_result result

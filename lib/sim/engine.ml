@@ -13,12 +13,15 @@
       execution;
     - [now] never decreases. *)
 
-(* An event is data, not a closure: a plain callback, a process to
-   start, or a suspended process to resume.  Queueing a constructor
-   allocates less than a closure over the continuation, and tells the
-   run loop when a process is running. *)
+(* An event is data, not a closure: a plain callback, a timer, a
+   process to start, or a suspended process to resume.  Queueing a
+   constructor allocates less than a closure over the continuation,
+   and tells the run loop when a process is running.  A timer's
+   callback returns [false] when it found its waiter already woken:
+   the engine counts such dead pops. *)
 type event =
   | Call of (unit -> unit)
+  | Timer of (unit -> bool)
   | Spawn of (unit -> unit)
   | Resume of (unit, unit) Effect.Deep.continuation
   | Resume_with of (Obj.t, unit) Effect.Deep.continuation * Obj.t
@@ -36,6 +39,7 @@ type t = {
   mutable spawned : int;
   mutable limit : float; (* the current [run]'s [until] *)
   mutable in_process : bool; (* a [Spawn] or [Resume] event is running *)
+  mutable dead_timers : int; (* timers popped after their waiter woke *)
 }
 
 (* Two tiers, one order.  An event due at [now] (a spawn, a waker,
@@ -88,7 +92,8 @@ let push_future t ~time ev =
   t.seq <- seq + 1;
   Heap.push t.future ~time ~seq ev
 
-let schedule t ~time ev = if time = t.now then push_ready t ev else push_future t ~time ev
+let schedule t ~time ev =
+  if time = t.now then push_ready t ev else ignore (push_future t ~time ev : Heap.handle)
 
 let process_handler t =
   let open Effect.Deep in
@@ -130,6 +135,7 @@ let create () =
     spawned = 0;
     limit = infinity;
     in_process = false;
+    dead_timers = 0;
   }
 
 let now t = t.now
@@ -152,6 +158,7 @@ let spawn t ?name f =
 
 let run_event t = function
   | Call f -> f ()
+  | Timer f -> if not (f ()) then t.dead_timers <- t.dead_timers + 1
   | Spawn f ->
       t.in_process <- true;
       Effect.Deep.match_with f () (process_handler t);
@@ -172,7 +179,7 @@ let rec loop t =
       (* the clock is set back to [limit]: keep the events due now
          ordered after any already in the heap *)
       while t.ready_len > 0 do
-        push_future t ~time:t.now (pop_ready t)
+        ignore (push_future t ~time:t.now (pop_ready t) : Heap.handle)
       done;
       t.now <- t.limit
     end
@@ -219,6 +226,32 @@ let deadlocked t = Heap.is_empty t.future && t.ready_len = 0 && t.live_processes
 
 let live_processes t = t.live_processes
 let spawned t = t.spawned
+let dead_timers t = t.dead_timers
+
+(* ------------------------------------------------------------------ *)
+(* Cancellable timers                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A timer is an ordinary event with a heap handle.  Cancelling it
+   takes it out of the heap; its sequence number stays used, so every
+   other event keeps its [(time, seq)] key and runs exactly when it
+   would have had the dead timer popped and done nothing.  A timer due
+   at [now] goes to the ready ring, which has no handles: it cannot be
+   cancelled and fires, finding its waiter gone. *)
+type timer = Heap.handle
+
+let no_timer = Heap.no_handle
+
+let timer t ~delay f =
+  if delay < 0. then invalid_arg "Engine.timer: negative delay";
+  let time = t.now +. delay in
+  if time = t.now then begin
+    push_ready t (Timer f);
+    no_timer
+  end
+  else push_future t ~time (Timer f)
+
+let cancel t timer = Heap.remove t.future timer
 
 (* ------------------------------------------------------------------ *)
 (* Operations usable inside a process                                  *)
@@ -252,11 +285,30 @@ let suspend (register : ('a -> unit) -> unit) : 'a =
   in
   Obj.obj (Effect.perform (Suspend register_obj))
 
+(* The state of a [suspend_timeout] race once either side has won;
+   before that it holds the armed timer. *)
+let decided = -2
+
 (** [suspend_timeout t ~timeout register] is [Some v] if a waker fires
     before [timeout] elapses, [None] otherwise.  The loser of the race
-    is disarmed. *)
+    is disarmed: a waker that wins cancels the timer. *)
 let suspend_timeout t ~timeout (register : ('a option -> unit) -> unit) :
     'a option =
   suspend (fun waker ->
-      register (fun v -> waker v);
-      at t ~delay:timeout (fun () -> waker None))
+      let race = ref no_timer in
+      register (fun v ->
+          let armed = !race in
+          if armed <> decided then begin
+            race := decided;
+            cancel t armed;
+            waker v
+          end);
+      if !race <> decided then
+        race :=
+          timer t ~delay:timeout (fun () ->
+              !race <> decided
+              && begin
+                   race := decided;
+                   waker None;
+                   true
+                 end))

@@ -36,6 +36,32 @@ val deadlocked : t -> bool
 val live_processes : t -> int
 val spawned : t -> int
 
+(** Timer events that ran after the waiter they were armed for had
+    already been woken.  A won race cancels its timer, so only a timer
+    due at the instant it was armed (which cannot be cancelled) is
+    counted. *)
+val dead_timers : t -> int
+
+(** {1 Cancellable timers} *)
+
+(** An int naming a queued timer; every timer but {!no_timer} is
+    non-negative. *)
+type timer = int
+
+val no_timer : timer
+
+(** [timer t ~delay f] runs [f] [delay] after the current time, like
+    {!at}, unless cancelled first.  [f] returns [false] when the waiter
+    it was armed for had already been woken, which {!dead_timers}
+    counts.  A timer due now ([delay] 0, or a delay that rounds away
+    against the clock) gets {!no_timer} and always runs. *)
+val timer : t -> delay:float -> (unit -> bool) -> timer
+
+(** [cancel t tm] removes [tm] from the event queue; a no-op on
+    {!no_timer} and on a timer that has already run or been cancelled.
+    The other events keep their [(time, seq)] order. *)
+val cancel : t -> timer -> unit
+
 (** {1 Operations usable only inside a process} *)
 
 (** Let [delay] microseconds of simulated time pass. *)
@@ -53,5 +79,5 @@ val suspend : (('a -> unit) -> unit) -> 'a
 
 (** [suspend_timeout t ~timeout register] is [Some v] if a waker fires
     before [timeout] elapses, [None] otherwise; the loser of the race
-    is disarmed. *)
+    is disarmed, and a waker that wins cancels the timer. *)
 val suspend_timeout : t -> timeout:float -> (('a option -> unit) -> unit) -> 'a option

@@ -17,19 +17,37 @@
     push takes the free slot at position [size]; a pop resets its slot
     to [dummy] at once — the engine's values may hold continuations,
     and a popped one must not be kept alive — and
-    leaves it at the position the heap just vacated. *)
+    leaves it at the position the heap just vacated.
+
+    [pos_of] is the inverse permutation, so an entry can also leave
+    from the middle ({!remove}).  A push returns a handle naming the
+    entry's slot and its sequence number; the slot alone would not do,
+    since a popped entry's slot is reused by a later push.  The handle
+    names a live entry only while that slot sits below [size] with the
+    same sequence number at its position, and the engine never reuses
+    a sequence number, so a handle outliving its entry removes
+    nothing. *)
 
 type 'a t = {
   mutable times : Float.Array.t; (* by heap position *)
   mutable seqs : int array; (* by heap position *)
   mutable slot_of : int array; (* by heap position: slot of its value *)
+  mutable pos_of : int array; (* by slot: its position in [slot_of] *)
   mutable values : 'a array; (* by slot; [dummy] when free *)
   mutable size : int;
   dummy : 'a;
 }
 
 let create ~dummy =
-  { times = Float.Array.create 0; seqs = [||]; slot_of = [||]; values = [||]; size = 0; dummy }
+  {
+    times = Float.Array.create 0;
+    seqs = [||];
+    slot_of = [||];
+    pos_of = [||];
+    values = [||];
+    size = 0;
+    dummy;
+  }
 
 let length t = t.size
 let is_empty t = t.size = 0
@@ -45,17 +63,21 @@ let grow t =
   Array.blit t.seqs 0 seqs 0 cap;
   let slot_of = Array.init capacity Fun.id in
   Array.blit t.slot_of 0 slot_of 0 cap;
+  let pos_of = Array.init capacity Fun.id in
+  Array.blit t.pos_of 0 pos_of 0 cap;
   let values = Array.make capacity t.dummy in
   Array.blit t.values 0 values 0 cap;
   t.times <- times;
   t.seqs <- seqs;
   t.slot_of <- slot_of;
+  t.pos_of <- pos_of;
   t.values <- values
 
 let[@inline] set_entry t i time seq slot =
   Float.Array.unsafe_set t.times i time;
   Array.unsafe_set t.seqs i seq;
-  Array.unsafe_set t.slot_of i slot
+  Array.unsafe_set t.slot_of i slot;
+  Array.unsafe_set t.pos_of slot i
 
 (* Sift the entry at [i] up: a hole slides up from [i] and the entry
    is written once, where it stops.  The entry's key is read here, not
@@ -110,6 +132,16 @@ let sift_down t i =
   done;
   set_entry t !i time seq slot
 
+(* A handle packs [seq lsl slot_bits lor slot].  An entry whose slot
+   or sequence number does not fit gets [no_handle]: it can still be
+   popped, never removed. *)
+let slot_bits = 24
+let seq_limit = 1 lsl (Sys.int_size - 1 - slot_bits)
+
+type handle = int
+
+let no_handle = -1
+
 let push t ~time ~seq value =
   let i = t.size in
   if i = Array.length t.values then grow t;
@@ -117,25 +149,46 @@ let push t ~time ~seq value =
   Array.unsafe_set t.values slot value;
   set_entry t i time seq slot;
   t.size <- i + 1;
-  if i > 0 then sift_up t i
+  if i > 0 then sift_up t i;
+  if slot lsr slot_bits = 0 && seq >= 0 && seq < seq_limit then (seq lsl slot_bits) lor slot
+  else no_handle
 
 let min_time t =
   if t.size = 0 then invalid_arg "Heap.min_time: empty";
   Float.Array.unsafe_get t.times 0
 
-let pop t =
-  if t.size = 0 then invalid_arg "Heap.pop: empty";
-  let slot = Array.unsafe_get t.slot_of 0 in
+(* Take the entry at position [i] out: its slot is cleared and parked
+   at the position the shrinking heap vacates, and the last entry
+   fills the hole, sifting whichever way its key calls for. *)
+let take t i =
+  let slot = Array.unsafe_get t.slot_of i in
   let top = Array.unsafe_get t.values slot in
   Array.unsafe_set t.values slot t.dummy;
   let last = t.size - 1 in
   t.size <- last;
-  if last > 0 then begin
-    set_entry t 0
-      (Float.Array.unsafe_get t.times last)
-      (Array.unsafe_get t.seqs last)
-      (Array.unsafe_get t.slot_of last);
-    sift_down t 0
+  if i < last then begin
+    let time = Float.Array.unsafe_get t.times last and seq = Array.unsafe_get t.seqs last in
+    set_entry t i time seq (Array.unsafe_get t.slot_of last);
+    let parent = (i - 1) / 2 in
+    let tp = Float.Array.unsafe_get t.times parent in
+    if i > 0 && (time < tp || (time = tp && seq < Array.unsafe_get t.seqs parent)) then
+      sift_up t i
+    else sift_down t i
   end;
   Array.unsafe_set t.slot_of last slot;
+  Array.unsafe_set t.pos_of slot last;
   top
+
+let pop t =
+  if t.size = 0 then invalid_arg "Heap.pop: empty";
+  take t 0
+
+let remove t handle =
+  if handle >= 0 then begin
+    let slot = handle land ((1 lsl slot_bits) - 1) in
+    if slot < Array.length t.values then begin
+      let i = Array.unsafe_get t.pos_of slot in
+      if i < t.size && Array.unsafe_get t.seqs i = handle lsr slot_bits then
+        ignore (take t i : _)
+    end
+  end

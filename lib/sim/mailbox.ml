@@ -4,9 +4,17 @@
     Wake order is FIFO over blocked receivers, matching a kernel wait
     queue's default behaviour. *)
 
-type state = Waiting | Taken | Cancelled
+(* A waiter's [state] is [taken] once a send has woken it,
+   [cancelled] once its timeout has, and otherwise it is waiting:
+   [untimed] for a plain [recv], or the handle of the timer a
+   [recv_timeout] armed, which the winning send cancels.  A plain
+   waiter thus carries no timer field. *)
+let untimed = Engine.no_timer
+let taken = -2
+let cancelled = -3
+let[@inline] is_waiting state = state >= untimed
 
-type 'a waiter = { wake : 'a option -> unit; mutable state : state }
+type 'a waiter = { wake : 'a option -> unit; mutable state : int }
 
 type 'a t = {
   engine : Engine.t;
@@ -23,13 +31,15 @@ let length t = Queue.length t.items
 let rec next_live_waiter t =
   match Queue.take_opt t.waiters with
   | None -> None
-  | Some w when w.state = Waiting -> Some w
+  | Some w when is_waiting w.state -> Some w
   | Some _ -> next_live_waiter t
 
 let send t v =
   match next_live_waiter t with
   | Some w ->
-      w.state <- Taken;
+      let timer = w.state in
+      w.state <- taken;
+      Engine.cancel t.engine timer;
       w.wake (Some v)
   | None -> Queue.add v t.items
 
@@ -39,7 +49,7 @@ let recv t : 'a =
   | None ->
       (match
          Engine.suspend (fun waker ->
-             Queue.add { wake = waker; state = Waiting } t.waiters)
+             Queue.add { wake = waker; state = untimed } t.waiters)
        with
       | Some v -> v
       | None -> assert false)
@@ -54,25 +64,29 @@ let remove_waiter t w =
     [timeout].  A timed-out waiter is removed from the queue, so it
     can never swallow (or force a re-dispatch of) a later send.  The
     waiter's state field decides the send/timeout race: whichever side
-    transitions it away from [Waiting] first wins, the loser is a
-    no-op. *)
+    moves it off waiting first wins.  A winning send cancels the
+    timer, so the race leaves no event behind; a timer that cannot be
+    cancelled (due at once) finds the waiter gone and does nothing. *)
 let recv_timeout t ~timeout : 'a option =
   match Queue.take_opt t.items with
   | Some v -> Some v
   | None ->
       Engine.suspend (fun waker ->
-          let w = { wake = waker; state = Waiting } in
+          let w = { wake = waker; state = untimed } in
           Queue.add w t.waiters;
-          Engine.at t.engine ~delay:timeout (fun () ->
-              if w.state = Waiting then begin
-                w.state <- Cancelled;
-                remove_waiter t w;
-                waker None
-              end))
+          w.state <-
+            Engine.timer t.engine ~delay:timeout (fun () ->
+                is_waiting w.state
+                && begin
+                     w.state <- cancelled;
+                     remove_waiter t w;
+                     waker None;
+                     true
+                   end))
 
 (** Blocked receivers currently eligible for a send. *)
 let waiting t =
-  Queue.fold (fun n w -> if w.state = Waiting then n + 1 else n) 0 t.waiters
+  Queue.fold (fun n w -> if is_waiting w.state then n + 1 else n) 0 t.waiters
 
 let peek t = Queue.peek_opt t.items
 let is_empty t = Queue.is_empty t.items

@@ -7,6 +7,8 @@
      the 0 phases take no poll handoff, the 20 us phases ride poll
      pickups, the unbounded phase raises no interrupt, the clock ends
      finite, and the schedule is bit-identical across runs;
+   - in every scenario, no timer pops after its waiter was woken: a
+     receive or sleep that wins its race cancels its timer;
    - a driver-VM crash (PR 1 recovery) landing while the backend sits
      inside a hybrid poll window neither wedges the machine nor leaks
      anything worse than the crash semantics (ENODEV after the fault,
@@ -79,10 +81,19 @@ let switch_run () =
   Sim.Engine.run (M.engine m);
   ends.(n - 1) <- Pool.stats pool;
   let phases = List.mapi (fun i (_, window) -> (window, starts.(i), ends.(i))) schedule in
-  (!ok, !enodev, !eio, !other, phases, Sim.Engine.now (M.engine m))
+  ( !ok,
+    !enodev,
+    !eio,
+    !other,
+    phases,
+    Sim.Engine.now (M.engine m),
+    Sim.Engine.dead_timers (M.engine m) )
+
+let check_dead_timers what n = if n > 0 then violation "%s: %d timers popped dead" what n
 
 let scenario_switching () =
-  let ok, enodev, eio, other, phases, t_end = switch_run () in
+  let ok, enodev, eio, other, phases, t_end, dead = switch_run () in
+  check_dead_timers "switching" dead;
   if ok <> 400 then violation "switching: %d/400 ops completed" ok;
   if enodev + eio + other > 0 then
     violation "switching: errors enodev=%d eio=%d other=%d" enodev eio other;
@@ -106,7 +117,7 @@ let scenario_switching () =
     violation "switching: the run ended with the clock at %f" t_end;
   (* the schedule must not depend on hidden state: a second identical
      run lands on the same counters at the same simulated time *)
-  let ok2, _, _, _, phases2, t_end2 = switch_run () in
+  let ok2, _, _, _, phases2, t_end2, _ = switch_run () in
   let _, _, s2 = List.nth phases2 (List.length phases2 - 1) in
   if ok2 <> ok || phases2 <> phases || t_end2 <> t_end then
     violation
@@ -147,6 +158,7 @@ let scenario_crash_in_window () =
                   violation "crash: post-reboot ioctl failed %s"
                     (Errno.to_string e))));
   Sim.Engine.run (M.engine m);
+  check_dead_timers "crash" (Sim.Engine.dead_timers (M.engine m));
   (* every streamed op settled one way or the other: nothing wedged *)
   if !ok + !enodev + !eio + !other <> 200 then
     violation "crash: stream wedged (%d/200 settled)"
@@ -181,6 +193,7 @@ let scenario_upgrade_in_window () =
           | M.Upgrade_failed_dead site ->
               violation "upgrade: failed dead at %s" site));
   Sim.Engine.run (M.engine m);
+  check_dead_timers "upgrade" (Sim.Engine.dead_timers (M.engine m));
   if not !upgraded then violation "upgrade: did not complete";
   if !ok <> 400 then violation "upgrade: %d/400 ops completed" !ok;
   if !enodev + !eio + !other > 0 then

@@ -106,9 +106,11 @@ let test_suspend_timeout_won_by_waker () =
       woke_at := Sim.Engine.now eng);
   Sim.Engine.run eng;
   Alcotest.(check (option int)) "waker won" (Some 7) !result;
-  (* The disarmed timer still pops (and is ignored) at t=5, but the
-     process itself resumed at t=2. *)
-  check_float "woke before timeout" 2. !woke_at
+  check_float "woke before timeout" 2. !woke_at;
+  (* the winning waker cancelled the timer: nothing was left to run at
+     t=5 *)
+  check_float "run ended at the wakeup" 2. (Sim.Engine.now eng);
+  Alcotest.(check int) "no dead timer" 0 (Sim.Engine.dead_timers eng)
 
 let test_deadlock_detection () =
   let eng = Sim.Engine.create () in
@@ -282,6 +284,47 @@ let test_mailbox_dead_waiter_redispatch () =
       Sim.Mailbox.send mb 5);
   Sim.Engine.run eng;
   Alcotest.(check (option int)) "live waiter got the message" (Some 5) !live_got
+
+(* A send that beats the timeout cancels the receiver's timer: the run
+   ends at the send, a receiver then blocked for good is a deadlock at
+   once, and no timer pops dead. *)
+let test_mailbox_won_race_leaves_no_event () =
+  let eng = Sim.Engine.create () in
+  let mb : int Sim.Mailbox.t = Sim.Mailbox.create eng in
+  let got = ref None in
+  Sim.Engine.spawn eng (fun () ->
+      got := Sim.Mailbox.recv_timeout mb ~timeout:100.;
+      ignore (Sim.Mailbox.recv mb : int));
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.wait 5.;
+      Sim.Mailbox.send mb 9);
+  Sim.Engine.run ~until:6. eng;
+  Alcotest.(check (option int)) "send won" (Some 9) !got;
+  (* a dead timer still queued would have moved the clock to [until] *)
+  check_float "the run stopped at the send" 5. (Sim.Engine.now eng);
+  Alcotest.(check bool) "deadlocked at once" true (Sim.Engine.deadlocked eng);
+  Sim.Engine.run eng;
+  check_float "an unbounded run too" 5. (Sim.Engine.now eng);
+  Alcotest.(check int) "no dead timer" 0 (Sim.Engine.dead_timers eng)
+
+(* A timer due at once cannot be cancelled: it still runs, finds the
+   race decided and does nothing, and is counted as dead. *)
+let test_mailbox_zero_timeout () =
+  let eng = Sim.Engine.create () in
+  let mb : int Sim.Mailbox.t = Sim.Mailbox.create eng in
+  let empty = ref (Some 0) and raced = ref None in
+  Sim.Engine.spawn eng (fun () -> empty := Sim.Mailbox.recv_timeout mb ~timeout:0.);
+  Sim.Engine.run eng;
+  Alcotest.(check (option int)) "nothing sent: timed out" None !empty;
+  Alcotest.(check int) "a live timeout is not dead" 0 (Sim.Engine.dead_timers eng);
+  (* the receiver's timer is queued behind the sender's start *)
+  Sim.Engine.spawn eng (fun () -> raced := Sim.Mailbox.recv_timeout mb ~timeout:0.);
+  Sim.Engine.spawn eng (fun () -> Sim.Mailbox.send mb 3);
+  Sim.Engine.run eng;
+  Alcotest.(check (option int)) "the send won" (Some 3) !raced;
+  Alcotest.(check int) "the timer ran dead" 1 (Sim.Engine.dead_timers eng);
+  Alcotest.(check int) "nothing buffered" 0 (Sim.Mailbox.length mb);
+  Alcotest.(check int) "no waiter left" 0 (Sim.Mailbox.waiting mb)
 
 let test_semaphore_mutual_exclusion () =
   let eng = Sim.Engine.create () in
@@ -467,7 +510,7 @@ let prop_heap_pops_sorted =
     (fun entries ->
       let heap = Sim.Heap.create ~dummy:(nan, -1) in
       List.iteri
-        (fun i (t, ()) -> Sim.Heap.push heap ~time:t ~seq:i (t, i))
+        (fun i (t, ()) -> ignore (Sim.Heap.push heap ~time:t ~seq:i (t, i)))
         entries;
       let rec drain acc =
         if Sim.Heap.is_empty heap then List.rev acc
@@ -500,7 +543,7 @@ let prop_heap_interleaved =
           | Some time ->
               (* coarse times so equal timestamps are common *)
               let time = Float.round time in
-              Sim.Heap.push heap ~time ~seq (time, seq);
+              ignore (Sim.Heap.push heap ~time ~seq (time, seq));
               model := (time, seq) :: !model
           | None -> pop ())
         script;
@@ -509,14 +552,66 @@ let prop_heap_interleaved =
       done;
       !ok && Sim.Heap.is_empty heap)
 
+(* Removal by handle, against a sorted-list model: pushes, pops and
+   removals interleave at random, a removal may name any handle ever
+   handed out, and one whose entry has been popped or removed (its slot
+   perhaps reused by a later push) must remove nothing. *)
+let prop_heap_remove =
+  QCheck.Test.make ~name:"heap removal by handle matches a sorted-list model" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 300) (pair (int_bound 2) (int_bound 1000)))
+    (fun script ->
+      let heap = Sim.Heap.create ~dummy:(nan, -1) in
+      let model = ref [] and handles = ref [||] and ok = ref true in
+      List.iteri
+        (fun seq (op, x) ->
+          (match op with
+          | 0 ->
+              let time = float_of_int (x mod 50) in
+              let h = Sim.Heap.push heap ~time ~seq (time, seq) in
+              handles := Array.append !handles [| (h, (time, seq)) |];
+              model := (time, seq) :: !model
+          | 1 -> (
+              match List.sort compare !model with
+              | [] -> ()
+              | least :: rest ->
+                  model := rest;
+                  if Sim.Heap.pop heap <> least then ok := false)
+          | _ ->
+              let n = Array.length !handles in
+              if n > 0 then begin
+                let h, key = !handles.(x mod n) in
+                Sim.Heap.remove heap h;
+                model := List.filter (fun k -> k <> key) !model
+              end);
+          if Sim.Heap.length heap <> List.length !model then ok := false)
+        script;
+      let rest = List.sort compare !model in
+      let drained = List.map (fun _ -> Sim.Heap.pop heap) rest in
+      !ok && drained = rest && Sim.Heap.is_empty heap)
+
+(* A stale handle whose slot now holds a later entry removes nothing,
+   and neither does [no_handle]. *)
+let test_heap_stale_handle () =
+  let heap = Sim.Heap.create ~dummy:(-1) in
+  let h0 = Sim.Heap.push heap ~time:1. ~seq:0 0 in
+  Alcotest.(check int) "pop" 0 (Sim.Heap.pop heap);
+  let h1 = Sim.Heap.push heap ~time:2. ~seq:1 1 in
+  Alcotest.(check int) "slot reused" (h0 land 0xff) (h1 land 0xff);
+  Sim.Heap.remove heap h0;
+  Sim.Heap.remove heap Sim.Heap.no_handle;
+  Alcotest.(check int) "later entry kept" 1 (Sim.Heap.length heap);
+  Sim.Heap.remove heap h1;
+  Sim.Heap.remove heap h1;
+  Alcotest.(check bool) "removed once" true (Sim.Heap.is_empty heap)
+
 (* A popped value is released by the heap at once: the engine's values
    are closures over continuations. *)
 let[@inline never] push_then_pop_closure heap weak =
   let captured = ref 0 in
   let f () = incr captured in
   Weak.set weak 0 (Some f);
-  Sim.Heap.push heap ~time:1. ~seq:0 f;
-  Sim.Heap.push heap ~time:2. ~seq:1 ignore;
+  ignore (Sim.Heap.push heap ~time:1. ~seq:0 f);
+  ignore (Sim.Heap.push heap ~time:2. ~seq:1 ignore);
   let (_ : unit -> unit) = Sys.opaque_identity (Sim.Heap.pop heap) in
   ()
 
@@ -535,7 +630,7 @@ let test_heap_refill_past_grow () =
   let fill n ~seq0 =
     for k = 0 to n - 1 do
       (* descending times with ties, so pushes sift *)
-      Sim.Heap.push heap ~time:(float_of_int ((n - k) / 2)) ~seq:(seq0 + k) (seq0 + k)
+      ignore (Sim.Heap.push heap ~time:(float_of_int ((n - k) / 2)) ~seq:(seq0 + k) (seq0 + k))
     done
   in
   let drain () =
@@ -616,6 +711,9 @@ let suites =
         Alcotest.test_case "buffers without receiver" `Quick test_mailbox_buffers_when_no_receiver;
         Alcotest.test_case "recv timeout" `Quick test_mailbox_recv_timeout;
         Alcotest.test_case "dead waiter redispatch" `Quick test_mailbox_dead_waiter_redispatch;
+        Alcotest.test_case "won race leaves no event" `Quick
+          test_mailbox_won_race_leaves_no_event;
+        Alcotest.test_case "zero timeout" `Quick test_mailbox_zero_timeout;
       ] );
     ( "sim.semaphore",
       [
@@ -635,6 +733,8 @@ let suites =
         Alcotest.test_case "stats merge = pooled" `Quick test_stats_merge;
         QCheck_alcotest.to_alcotest prop_heap_pops_sorted;
         QCheck_alcotest.to_alcotest prop_heap_interleaved;
+        QCheck_alcotest.to_alcotest prop_heap_remove;
+        Alcotest.test_case "heap stale handle" `Quick test_heap_stale_handle;
         Alcotest.test_case "heap releases popped values" `Quick test_heap_slot_hygiene;
         Alcotest.test_case "heap refill past grow" `Quick test_heap_refill_past_grow;
         QCheck_alcotest.to_alcotest prop_stats_mean_bounded;

@@ -129,21 +129,98 @@ let test_kill_vm_flushes_tlb () =
    shared-page frame caches stamp with. *)
 let test_epoch_moves_when_entries_drop () =
   let tlb = Memory.Tlb.create ~max_entries:2 () in
-  let entry spn =
-    { Memory.Tlb.spn; pt_perms = Memory.Perm.rwx; ept_perms = Memory.Perm.rw; pt_gen = 0;
-      ept_gen = 0 }
+  let entry vfn spn =
+    {
+      Memory.Tlb.key = Memory.Tlb.key ~space:Memory.Tlb.gpa_space ~vfn;
+      spn;
+      frame = Memory.Phys_mem.no_frame;
+      pt_perms = Memory.Perm.rwx;
+      ept_perms = Memory.Perm.rw;
+      pt_gen = 0;
+      ept_gen = 0;
+    }
   in
   let e0 = Memory.Tlb.epoch tlb in
-  Memory.Tlb.install tlb ~key:(Memory.Tlb.key ~space:Memory.Tlb.gpa_space ~vfn:1) (entry 10);
-  Memory.Tlb.install tlb ~key:(Memory.Tlb.key ~space:Memory.Tlb.gpa_space ~vfn:1) (entry 10);
-  Memory.Tlb.install tlb ~key:(Memory.Tlb.key ~space:Memory.Tlb.gpa_space ~vfn:2) (entry 11);
+  Memory.Tlb.install tlb (entry 1 10);
+  Memory.Tlb.install tlb (entry 1 10);
+  Memory.Tlb.install tlb (entry 2 11);
   Alcotest.(check int) "fills below capacity keep the epoch" e0 (Memory.Tlb.epoch tlb);
-  Memory.Tlb.install tlb ~key:(Memory.Tlb.key ~space:Memory.Tlb.gpa_space ~vfn:3) (entry 12);
+  Memory.Tlb.install tlb (entry 3 12);
   Alcotest.(check int) "wholesale reset at max_entries moves it" (e0 + 1)
     (Memory.Tlb.epoch tlb);
   Alcotest.(check int) "only the new entry survives" 1 (Memory.Tlb.entry_count tlb);
   Memory.Tlb.flush tlb;
   Alcotest.(check int) "flush moves it" (e0 + 2) (Memory.Tlb.epoch tlb)
+
+(* The front array holds the same entries as the table, so a page hot
+   there is revoked by the same events: after an EPT unmap or a
+   permission strip the next access misses and faults, and after a
+   flush it misses and walks again, in each case with the outcome the
+   cache-off access has. *)
+let test_front_array_revocation () =
+  let outcome ~tlb_on revoke =
+    let hyp = make_hyp () in
+    let guest, pt = make_guest_with_process hyp in
+    Memory.Tlb.set_enabled (Vm.tlb guest) tlb_on;
+    Vm.write_gva_u32 guest ~pt ~gva:0x1000 42;
+    for _ = 1 to 3 do
+      ignore (Vm.read_gva_u32 guest ~pt ~gva:0x1000 : int)
+    done;
+    let gpa = Memory.Guest_pt.translate pt ~gva:0x1000 ~access:Memory.Perm.Read in
+    revoke guest gpa;
+    let stats = Memory.Tlb.stats (Vm.tlb guest) in
+    let misses = stats.Memory.Tlb.misses in
+    let result =
+      match Vm.read_gva_u32 guest ~pt ~gva:0x1000 with
+      | v -> Printf.sprintf "read %d" v
+      | exception Memory.Fault.Ept_violation _ -> "EPT violation"
+      | exception Memory.Fault.Page_fault _ -> "page fault"
+    in
+    (result, stats.Memory.Tlb.misses = misses + 1)
+  in
+  let cases =
+    [
+      ("EPT unmap", (fun guest gpa -> ignore (Memory.Ept.unmap (Vm.ept guest) ~gpa : bool)),
+       "EPT violation");
+      ("permission strip",
+       (fun guest gpa -> Memory.Ept.set_perms (Vm.ept guest) ~gpa ~perms:Memory.Perm.none),
+       "EPT violation");
+      ("TLB flush", (fun guest _ -> Vm.flush_tlb guest), "read 42");
+    ]
+  in
+  List.iter
+    (fun (what, revoke, expected) ->
+      let on = outcome ~tlb_on:true revoke and off = outcome ~tlb_on:false revoke in
+      Alcotest.(check string) (what ^ ": outcome with the cache on") expected (fst on);
+      Alcotest.(check string) (what ^ ": outcome with the cache off") expected (fst off);
+      Alcotest.(check bool) (what ^ ": the cached probe misses") true (snd on))
+    cases
+
+(* A probe answered by the front array counts one hit, as one answered
+   by the table does.  Pages 32 vfns apart share a front slot, so
+   alternating between them sends every other probe to the table,
+   which refills the front. *)
+let test_front_hit_counts_once () =
+  let hyp = make_hyp () in
+  let guest, pt = make_guest_with_process hyp in
+  let far = 0x1000 + (32 * Memory.Addr.page_size) in
+  Memory.Guest_pt.map pt ~gva:far ~gpa:(Vm.alloc_gpa_page guest) ~perms:Memory.Perm.rw;
+  Vm.write_gva_u32 guest ~pt ~gva:0x1000 1;
+  Vm.write_gva_u32 guest ~pt ~gva:far 2;
+  let stats = Memory.Tlb.stats (Vm.tlb guest) in
+  let counts () = (stats.Memory.Tlb.hits, stats.Memory.Tlb.misses, stats.Memory.Tlb.walks) in
+  let read gva =
+    let h, m, w = counts () in
+    let v = Vm.read_gva_u32 guest ~pt ~gva in
+    let h', m', w' = counts () in
+    Alcotest.(check (list int)) "one hit, no miss, no walk" [ 1; 0; 0 ] [ h' - h; m' - m; w' - w ];
+    v
+  in
+  Alcotest.(check int) "front hit reads the page" 2 (read far);
+  Alcotest.(check int) "front hit again" 2 (read far);
+  Alcotest.(check int) "table hit refills the front" 1 (read 0x1000);
+  Alcotest.(check int) "front hit after the refill" 1 (read 0x1000);
+  Alcotest.(check int) "table hit for the evicted page" 2 (read far)
 
 (* ---- hit rate ---- *)
 
@@ -340,11 +417,14 @@ let suites =
         Alcotest.test_case "kill_vm flushes" `Quick test_kill_vm_flushes_tlb;
         Alcotest.test_case "epoch moves when entries drop" `Quick
           test_epoch_moves_when_entries_drop;
+        Alcotest.test_case "front array revoked like the table" `Quick
+          test_front_array_revocation;
       ] );
     ( "tlb.hit_rate",
       [
         Alcotest.test_case "second copy all hits" `Quick test_second_copy_all_hits;
         Alcotest.test_case "hit rate > 90%" `Quick test_hit_rate_above_90_percent;
+        Alcotest.test_case "front hit counts once" `Quick test_front_hit_counts_once;
       ] );
     ( "tlb.grant_cache",
       [
